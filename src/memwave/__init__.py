@@ -11,11 +11,13 @@ proof-extracted constants c0, T0 and beta0.
 
 from .errors import (
     AuditFailure,
+    CertificationFailure,
     ComplexRegime,
     DegenerateExponents,
     DegenerateMode,
     GridTooCoarse,
     HypothesisError,
+    InputError,
     MemwaveError,
     MonotonicityFailure,
     NegativeRadicand,
@@ -95,11 +97,12 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # errors
-    "MemwaveError", "NegativeRadicand", "ComplexRegime", "PreconditionViolated",
-    "OutOfRange", "RegimeError", "AuditFailure", "MonotonicityFailure",
-    "PoleError", "HypothesisError", "GridTooCoarse", "DegenerateExponents",
-    "RealityViolation", "NoUsableModes", "DegenerateMode", "ThetaOutOfRange",
-    "ParseError", "ValidationError", "NotPositiveWarning",
+    "MemwaveError", "InputError", "CertificationFailure", "NegativeRadicand",
+    "ComplexRegime", "PreconditionViolated", "OutOfRange", "RegimeError",
+    "AuditFailure", "MonotonicityFailure", "PoleError", "HypothesisError",
+    "GridTooCoarse", "DegenerateExponents", "RealityViolation", "NoUsableModes",
+    "DegenerateMode", "ThetaOutOfRange", "ParseError", "ValidationError",
+    "NotPositiveWarning",
     # spectrum
     "BETA_MAX", "KernelParams", "SpectralTriple", "laplace_eigenvalue",
     "phi_psi", "phi_psi_limiting", "characteristic_roots",

@@ -15,8 +15,11 @@ command-line flags override file values.  All numbers are emitted with 17
 significant digits so repeated runs are byte-identical and values round-trip
 exactly.
 
-Exit status: 0 on success, 2 on validation errors (single-line diagnostic on
-stderr), 1 on internal assertion failures (offending datum printed).
+Exit status follows the error type: 0 on success, 2 for an `errors.InputError`
+(bad input; one-line diagnostic on stderr), 1 for an `errors.CertificationFailure`
+(a certified check failed; offending datum printed); any other exception is a
+bug and propagates.  Rejected as input: non-finite numbers (`inf`, `nan`) and a
+horizon T whose square is 0 or infinite, or that makes c0 or the bound non-finite.
 """
 
 from __future__ import annotations
@@ -25,43 +28,26 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partialmethod
 from typing import Dict, Optional
 
 import numpy as np
 
 from .errors import (
     AuditFailure,
-    ComplexRegime,
-    DegenerateExponents,
-    DegenerateMode,
-    GridTooCoarse,
-    HypothesisError,
-    MonotonicityFailure,
-    NegativeRadicand,
-    NoUsableModes,
-    OutOfRange,
+    CertificationFailure,
+    InputError,
     ParseError,
-    PoleError,
-    PreconditionViolated,
-    RealityViolation,
-    RegimeError,
-    ThetaOutOfRange,
     ValidationError,
 )
 from .gap_analysis import audit_gaps, gap_constant
 from .ingham import ExponentFamily, check_hypotheses, energy_lower_bound
 from .modes import InitialData, expand
 from .observability import constant_S, thresholds, verify_observability, ObservabilityConfig
-from .spectrum import BETA_MAX, KernelParams, mode_spectrum
+from .spectrum import BETA_MAX, KernelParams, _vieta_residuals, mode_spectrum
 
 __all__ = ["RunConfig", "load_config", "parse_and_dispatch", "main"]
-
-_KNOWN_KEYS = {
-    "subcommand", "beta", "eta", "kmax", "format", "steps", "gamma_table",
-    "family", "t", "u0", "u1", "emit", "mu", "theta", "report", "beta_steps",
-    "threads", "output",
-}
 
 _KMAX_LIMIT = 512
 
@@ -134,6 +120,21 @@ def _csv_table(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _mode_table(columns: Dict[str, np.ndarray], fmt: str) -> str:
+    """Per-mode table as csv or json: one row per (k1, k2), k2 varying fastest.
+
+    `columns` maps column names to (kmax, kmax) arrays indexed [k1-1, k2-1];
+    the k1 and k2 columns are prepended.
+    """
+    kmax = len(next(iter(columns.values())))
+    k1, k2 = np.indices((kmax, kmax)) + 1
+    names = ["k1", "k2", *columns]
+    rows = zip(*(a.ravel().tolist() for a in (k1, k2, *columns.values())))
+    if fmt == "csv":
+        return _csv_table(",".join(names), rows)
+    return json_dumps([dict(zip(names, row)) for row in rows]) + "\n"
+
+
 def _write_output(text: str, path: Optional[str]) -> None:
     if path:
         with open(path, "w", newline="") as handle:
@@ -195,20 +196,22 @@ class _Resolver:
             return cli_value, True
         return self._file.get(name), False
 
-    def get_float(self, name, required=False, default=None, minimum=None,
-                  maximum=None, exclusive_min=None) -> Optional[float]:
-        raw, from_cli = self._raw(name)
+    def _number(self, name, parse, kind, required=False, default=None,
+                minimum=None, maximum=None, exclusive_min=None):
+        """Parse one numeric value, then require it finite and within the limits."""
+        raw, _ = self._raw(name)
         if raw is None:
             if required:
                 raise ValidationError(name, "required value missing")
             if default is None:
                 return None
-            value = float(default)
-        else:
-            try:
-                value = float(raw)
-            except (TypeError, ValueError):
-                raise ValidationError(name, f"not a number: {raw!r}")
+            raw = default
+        try:
+            value = parse(raw)
+        except (TypeError, ValueError):
+            raise ValidationError(name, f"not {kind}: {raw!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(name, f"must be finite, got {value}")
         if minimum is not None and value < minimum:
             raise ValidationError(name, f"must be >= {minimum}, got {value}")
         if maximum is not None and value > maximum:
@@ -217,25 +220,8 @@ class _Resolver:
             raise ValidationError(name, f"must be > {exclusive_min}, got {value}")
         return value
 
-    def get_int(self, name, required=False, default=None, minimum=None,
-                maximum=None) -> Optional[int]:
-        raw, _ = self._raw(name)
-        if raw is None:
-            if required:
-                raise ValidationError(name, "required value missing")
-            if default is None:
-                return None
-            value = int(default)
-        else:
-            try:
-                value = int(str(raw), 10)
-            except (TypeError, ValueError):
-                raise ValidationError(name, f"not an integer: {raw!r}")
-        if minimum is not None and value < minimum:
-            raise ValidationError(name, f"must be >= {minimum}, got {value}")
-        if maximum is not None and value > maximum:
-            raise ValidationError(name, f"must be <= {maximum}, got {value}")
-        return value
+    get_float = partialmethod(_number, parse=float, kind="a number")
+    get_int = partialmethod(_number, parse=lambda raw: int(str(raw), 10), kind="an integer")
 
     def get_str(self, name, required=False, default=None) -> Optional[str]:
         raw, _ = self._raw(name)
@@ -269,14 +255,18 @@ class _Resolver:
 # subcommand runners
 
 
-def _load_grid(path: str, name: str) -> np.ndarray:
-    try:
-        values = np.loadtxt(path, delimiter=",", ndmin=2)
-    except OSError as exc:
-        raise ValidationError(name, f"cannot read {path}: {exc.strerror}")
-    except ValueError as exc:
-        raise ValidationError(name, f"malformed CSV grid in {path}: {exc}")
-    return values
+def _load_initial_data(res: _Resolver, kmax: int) -> InitialData:
+    """Initial data from the CSV sample grids named by the u0 and u1 flags."""
+    grids = []
+    for name in ("u0", "u1"):
+        path = res.get_str(name, required=True)
+        try:
+            grids.append(np.loadtxt(path, delimiter=",", ndmin=2))
+        except OSError as exc:
+            raise ValidationError(name, f"cannot read {path}: {exc.strerror}")
+        except ValueError as exc:
+            raise ValidationError(name, f"malformed CSV grid in {path}: {exc}")
+    return InitialData.from_samples(*grids, kmax)
 
 
 def _run_spectrum(res: _Resolver, output: Optional[str]) -> None:
@@ -286,34 +276,11 @@ def _run_spectrum(res: _Resolver, output: Optional[str]) -> None:
     fmt = res.get_choice("format", {"csv", "json"}, default="csv")
     params = KernelParams(beta=beta, eta=eta)
     lam, omega, r = mode_spectrum(params, kmax)
-    z1, z2, z3 = 1j * omega, -1j * omega.conj(), r.astype(complex)
-    res1 = np.abs(z1 + z2 + z3 + params.eta)
-    res2 = np.abs(z1 * z2 + z1 * z3 + z2 * z3 - lam)
-    res3 = np.abs(z1 * z2 * z3 + (params.eta - params.beta) * lam)
-    residual = np.maximum(res1, np.maximum(res2, res3))
-
-    if fmt == "csv":
-        rows = []
-        for k1 in range(kmax):
-            for k2 in range(kmax):
-                rows.append((k1 + 1, k2 + 1, lam[k1, k2], omega[k1, k2].real,
-                             omega[k1, k2].imag, r[k1, k2], residual[k1, k2]))
-        text = _csv_table("k1,k2,lambda,re_omega,im_omega,r,residual", rows)
-    else:
-        records = []
-        for k1 in range(kmax):
-            for k2 in range(kmax):
-                records.append({
-                    "k1": k1 + 1,
-                    "k2": k2 + 1,
-                    "lambda": float(lam[k1, k2]),
-                    "re_omega": float(omega[k1, k2].real),
-                    "im_omega": float(omega[k1, k2].imag),
-                    "r": float(r[k1, k2]),
-                    "residual": float(residual[k1, k2]),
-                })
-        text = json_dumps(records) + "\n"
-    _write_output(text, output)
+    residual = np.maximum.reduce(_vieta_residuals(
+        1j * omega, -1j * omega.conj(), r.astype(complex), params, lam))
+    columns = {"lambda": lam, "re_omega": omega.real, "im_omega": omega.imag,
+               "r": r, "residual": residual}
+    _write_output(_mode_table(columns, fmt), output)
 
 
 def _run_gaps(res: _Resolver, output: Optional[str]) -> None:
@@ -326,17 +293,7 @@ def _run_gaps(res: _Resolver, output: Optional[str]) -> None:
     beta = res.get_float("beta", required=True, minimum=0.0, maximum=BETA_MAX)
     kmax = res.get_int("kmax", required=True, minimum=2, maximum=_KMAX_LIMIT)
     audit = audit_gaps(KernelParams.limiting_regime(beta), kmax)
-    payload = {
-        "beta": audit.beta,
-        "kmax": audit.kmax,
-        "gamma": audit.gamma,
-        "min_ratio_k2": audit.min_ratio_k2,
-        "min_ratio_k1": audit.min_ratio_k1,
-        "min_re_over_norm": audit.min_re_over_norm,
-        "im_min": audit.im_min,
-        "im_max": audit.im_max,
-    }
-    _write_output(json_dumps(payload) + "\n", output)
+    _write_output(json_dumps(asdict(audit)) + "\n", output)
 
 
 def _load_family(path: str) -> ExponentFamily:
@@ -377,15 +334,8 @@ def _run_ingham_check(res: _Resolver, output: Optional[str]) -> None:
     family = _load_family(family_path)
     violations = check_hypotheses(family, horizon)
     report = energy_lower_bound(family, horizon, check=False)
-    payload = {
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "S": report.S,
-        "margin": report.margin,
-        "violations": [str(v) for v in violations],
-    }
-    text = json_dumps(payload) + "\n"
-    _write_output(text, output)
+    payload = {**asdict(report), "violations": [str(v) for v in violations]}
+    _write_output(json_dumps(payload) + "\n", output)
     if not violations and report.margin < -1e-9 * (1.0 + abs(report.rhs)):
         raise AuditFailure(
             f"energy lower bound failed: lhs={report.lhs} < rhs={report.rhs}",
@@ -396,27 +346,12 @@ def _run_ingham_check(res: _Resolver, output: Optional[str]) -> None:
 def _run_modes(res: _Resolver, output: Optional[str]) -> None:
     beta = res.get_float("beta", required=True, minimum=0.0, maximum=BETA_MAX)
     kmax = res.get_int("kmax", required=True, minimum=1, maximum=_KMAX_LIMIT)
-    u0_path = res.get_str("u0", required=True)
-    u1_path = res.get_str("u1", required=True)
     emit = res.get_str("emit") or output
-    data = InitialData.from_samples(
-        _load_grid(u0_path, "u0"), _load_grid(u1_path, "u1"), kmax
-    )
-    expansion = expand(KernelParams.limiting_regime(beta), data)
-    records = []
-    for k1 in range(kmax):
-        for k2 in range(kmax):
-            records.append({
-                "k1": k1 + 1,
-                "k2": k2 + 1,
-                "C_re": float(expansion.C[k1, k2].real),
-                "C_im": float(expansion.C[k1, k2].imag),
-                "R": float(expansion.R[k1, k2]),
-                "re_omega": float(expansion.omega[k1, k2].real),
-                "im_omega": float(expansion.omega[k1, k2].imag),
-                "r": float(expansion.r[k1, k2]),
-            })
-    _write_output(json_dumps(records) + "\n", emit)
+    expansion = expand(KernelParams.limiting_regime(beta), _load_initial_data(res, kmax))
+    columns = {"C_re": expansion.C.real, "C_im": expansion.C.imag, "R": expansion.R,
+               "re_omega": expansion.omega.real, "im_omega": expansion.omega.imag,
+               "r": expansion.r}
+    _write_output(_mode_table(columns, "json"), emit)
 
 
 def _run_observe(res: _Resolver, output: Optional[str], threads: int) -> None:
@@ -425,33 +360,11 @@ def _run_observe(res: _Resolver, output: Optional[str], threads: int) -> None:
     kmax = res.get_int("kmax", required=True, minimum=1, maximum=_KMAX_LIMIT)
     mu = res.get_float("mu", exclusive_min=0.0)
     theta = res.get_float("theta", default=1.0, exclusive_min=0.5)
-    u0_path = res.get_str("u0", required=True)
-    u1_path = res.get_str("u1", required=True)
     report_path = res.get_str("report") or output
-    data = InitialData.from_samples(
-        _load_grid(u0_path, "u0"), _load_grid(u1_path, "u1"), kmax
-    )
+    data = _load_initial_data(res, kmax)
     config = ObservabilityConfig(beta=beta, T=horizon, kmax=kmax, mu=mu, theta=theta)
     report = verify_observability(config, data, threads=threads)
-    payload = {
-        "beta": report.beta,
-        "T": report.T,
-        "kmax": report.kmax,
-        "theta": report.theta,
-        "mu": report.mu,
-        "gamma": report.gamma,
-        "S": report.S,
-        "c0": report.c0,
-        "T0": report.T0,
-        "beta0": report.beta0,
-        "lhs": report.lhs,
-        "rhs_sum": report.rhs_sum,
-        "margin": report.margin,
-        "verdict": report.verdict,
-        "below_threshold": report.below_threshold,
-        "infeasible": report.infeasible,
-    }
-    _write_output(json_dumps(payload) + "\n", report_path)
+    _write_output(json_dumps(asdict(report)) + "\n", report_path)
 
 
 def _run_thresholds(res: _Resolver, output: Optional[str]) -> None:
@@ -533,17 +446,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VALIDATION_ERRORS = (
-    ParseError, ValidationError, OutOfRange, ThetaOutOfRange, GridTooCoarse,
-    RegimeError, PoleError, NegativeRadicand, ComplexRegime,
-    DegenerateExponents, DegenerateMode, NoUsableModes, PreconditionViolated,
-    HypothesisError, ValueError,
-)
+def _config_keys(parser: argparse.ArgumentParser) -> frozenset:
+    """Config-file keys: the destinations of every flag of every subcommand."""
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    dests = {action.dest for p in (parser, *subparsers.choices.values())
+             for action in p._actions}
+    return frozenset(dests - {"config", "help"})
 
-_ASSERTION_ERRORS = (
-    AuditFailure, MonotonicityFailure, RealityViolation, ArithmeticError,
-    AssertionError,
-)
+
+_KNOWN_KEYS = _config_keys(_build_parser())
 
 
 def parse_and_dispatch(argv) -> int:
@@ -580,13 +492,13 @@ def parse_and_dispatch(argv) -> int:
         else:  # pragma: no cover - argparse restricts choices
             raise ValidationError("subcommand", f"unknown subcommand {args.subcommand!r}")
         return 0
-    except _ASSERTION_ERRORS as exc:
+    except CertificationFailure as exc:
         datum = getattr(exc, "datum", None)
         suffix = f" [datum: {datum}]" if datum is not None else ""
         message = f"assertion failure: {exc}{suffix}".replace("\n", " ")
         print(message, file=sys.stderr)
         return 1
-    except _VALIDATION_ERRORS as exc:
+    except InputError as exc:
         print(f"error: {exc}".replace("\n", " "), file=sys.stderr)
         return 2
 

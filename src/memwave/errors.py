@@ -1,31 +1,40 @@
-"""Exception hierarchy shared by all memwave modules."""
+"""Exception hierarchy shared by all memwave modules; every concrete error
+derives from exactly one of `InputError` and `CertificationFailure`."""
 
 
 class MemwaveError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NegativeRadicand(MemwaveError):
+class InputError(MemwaveError, ValueError):
+    """An input or parameter is malformed or out of its range or regime (CLI exit 2)."""
+
+
+class CertificationFailure(MemwaveError):
+    """A certified inequality or consistency check failed (CLI exit 1)."""
+
+
+class NegativeRadicand(InputError):
     """A square-root argument went negative (parameters outside the admissible range)."""
 
 
-class ComplexRegime(MemwaveError):
+class ComplexRegime(InputError):
     """Cube-root arguments left the real configuration (phi < psi); rejected, not branch-switched."""
 
 
-class PreconditionViolated(MemwaveError):
+class PreconditionViolated(InputError):
     """An operation precondition that the caller must guarantee was violated."""
 
 
-class OutOfRange(MemwaveError):
+class OutOfRange(InputError):
     """A parameter is outside its documented interval."""
 
 
-class RegimeError(MemwaveError):
+class RegimeError(InputError):
     """Operation requires the limiting kernel regime (eta = 3*beta/2)."""
 
 
-class AuditFailure(MemwaveError):
+class AuditFailure(CertificationFailure):
     """A numerically certified inequality failed; carries the offending datum."""
 
     def __init__(self, message: str, datum=None):
@@ -33,7 +42,7 @@ class AuditFailure(MemwaveError):
         self.datum = datum
 
 
-class MonotonicityFailure(MemwaveError):
+class MonotonicityFailure(CertificationFailure):
     """A grid monotonicity / positivity sweep failed; carries the offending abscissa."""
 
     def __init__(self, message: str, abscissa=None):
@@ -41,11 +50,11 @@ class MonotonicityFailure(MemwaveError):
         self.abscissa = abscissa
 
 
-class PoleError(MemwaveError):
+class PoleError(InputError):
     """Kernel evaluated too close to its pole."""
 
 
-class HypothesisError(MemwaveError):
+class HypothesisError(InputError):
     """One or more separated-exponent hypotheses failed; carries the violation list."""
 
     def __init__(self, violations):
@@ -54,31 +63,31 @@ class HypothesisError(MemwaveError):
         super().__init__(f"{len(self.violations)} hypothesis violation(s): {lines}")
 
 
-class GridTooCoarse(MemwaveError):
+class GridTooCoarse(InputError):
     """Sample grid cannot resolve the requested number of modes."""
 
 
-class DegenerateExponents(MemwaveError):
+class DegenerateExponents(InputError):
     """Two mode exponents coincide; the coefficient system is singular."""
 
 
-class RealityViolation(MemwaveError):
+class RealityViolation(CertificationFailure):
     """Recovered coefficients are not conjugate-consistent with a real solution."""
 
 
-class NoUsableModes(MemwaveError):
+class NoUsableModes(InputError):
     """No mode with a nonzero oscillatory coefficient is available."""
 
 
-class DegenerateMode(MemwaveError):
+class DegenerateMode(InputError):
     """A mode has vanishing oscillatory coefficient but a nonzero decaying one."""
 
 
-class ThetaOutOfRange(MemwaveError):
+class ThetaOutOfRange(InputError):
     """Decay exponent theta must exceed 1/2."""
 
 
-class ParseError(MemwaveError):
+class ParseError(InputError):
     """Config file could not be parsed; carries the line number."""
 
     def __init__(self, message: str, line: int):
@@ -86,7 +95,7 @@ class ParseError(MemwaveError):
         self.line = line
 
 
-class ValidationError(MemwaveError):
+class ValidationError(InputError):
     """A named configuration field failed validation."""
 
     def __init__(self, field: str, message: str):

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import (
     AuditFailure,
+    InputError,
     MonotonicityFailure,
     NegativeRadicand,
     OutOfRange,
@@ -69,16 +70,19 @@ class GapConstant:
 
 @dataclass(frozen=True)
 class GapAudit:
-    """Extrema recorded by a finite-range gap audit (all inequalities passed)."""
+    """Extrema recorded by a finite-range gap audit (all inequalities passed).
 
+    Field order is the key order of the `gaps` CLI report.
+    """
+
+    beta: float
+    kmax: int
+    gamma: float
     min_ratio_k2: float
     min_ratio_k1: float
     min_re_over_norm: float
     im_min: float
     im_max: float
-    kmax: int
-    beta: float
-    gamma: float
 
 
 def sqrt_gap_bound(
@@ -279,7 +283,7 @@ def verify_scale_decreasing(samples: int) -> float:
     offending abscissa otherwise.
     """
     if samples < 2:
-        raise ValueError("need at least 2 samples")
+        raise InputError("need at least 2 samples")
     xs = np.linspace(0.0, X_MAX, samples)
     _, f_minus = freq_scale_parts(xs)
     if np.any(f_minus <= 0.0):

@@ -43,6 +43,8 @@ from scipy.special import zeta
 from .errors import (
     AuditFailure,
     HypothesisError,
+    InputError,
+    OutOfRange,
     PoleError,
     ThetaOutOfRange,
 )
@@ -97,9 +99,11 @@ class ExponentFamily:
         object.__setattr__(self, "Rs", np.asarray(self.Rs, dtype=float))
         n = len(self.omegas)
         if not (len(self.rs) == len(self.Cs) == len(self.Rs) == n):
-            raise ValueError("omegas, rs, Cs, Rs must have equal lengths")
+            raise InputError("omegas, rs, Cs, Rs must have equal lengths")
         if not 1 <= self.tau <= max(n, 1):
-            raise ValueError(f"tau must lie in [1, {n}], got {self.tau}")
+            raise InputError(f"tau must lie in [1, {n}], got {self.tau}")
+        if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
+            raise InputError(f"gamma must be finite and > 0, got {self.gamma}")
 
     def __len__(self) -> int:
         return len(self.omegas)
@@ -128,10 +132,23 @@ class Violation:
         return f"{self.hypothesis}{where}: {self.detail}"
 
 
+def _check_horizon(T: float, **derived: float) -> None:
+    """Reject a horizon T that breaks the arithmetic of the T-dependent bounds.
+
+    T must be > 0 with T*T a positive finite float, since the bounds divide
+    by T^2; each constant passed by keyword (computed from T) must be finite.
+    Raises OutOfRange otherwise.
+    """
+    if not (T > 0.0 and 0.0 < T * T < math.inf):
+        raise OutOfRange(f"T must be > 0 with T^2 finite and nonzero, got {T}")
+    for name, value in derived.items():
+        if not math.isfinite(value):
+            raise OutOfRange(f"{name}={value} is not finite at T={T}")
+
+
 def sine_window(t, T: float):
     """Half-sine window sin(pi*t/T) on [0, T], zero elsewhere; values in [0, 1]."""
-    if T <= 0.0:
-        raise ValueError("T must be > 0")
+    _check_horizon(T)
     t = np.asarray(t, dtype=float)
     inside = (t >= 0.0) & (t <= T)
     out = np.where(inside, np.sin(PI * np.clip(t, 0.0, T) / T), 0.0)
@@ -144,8 +161,7 @@ def window_kernel(u: complex, T: float) -> complex:
     Satisfies conj(K(u)) = K(conj(u)) and |K(u)| = |K(conj(u))|.  Raises
     PoleError within 1e-14*pi^2 of the poles u = +-pi/T.
     """
-    if T <= 0.0:
-        raise ValueError("T must be > 0")
+    _check_horizon(T)
     u = complex(u)
     denom = PI * PI - T * T * u * u
     if abs(denom) < 1e-14 * PI * PI:
@@ -165,7 +181,8 @@ def kernel_decay_bound(u: complex, j: int, gamma: float, T: float) -> Tuple[floa
     Requires gamma > 2*pi/T and |u| >= gamma*j.
     """
     if j < 1:
-        raise ValueError("j must be a positive integer")
+        raise InputError("j must be a positive integer")
+    _check_horizon(T)
     if gamma <= 2.0 * PI / T:
         raise HypothesisError(
             [Violation("window", (), f"gamma={gamma} <= 2*pi/T={2.0 * PI / T}")]
@@ -215,7 +232,7 @@ def pairwise_exponential_energy(coeffs, exps, T: float) -> float:
     coeffs = np.asarray(coeffs, dtype=complex).reshape(-1)
     exps = np.asarray(exps, dtype=complex).reshape(-1)
     if coeffs.shape != exps.shape:
-        raise ValueError("coeffs and exps must have matching lengths")
+        raise InputError("coeffs and exps must have matching lengths")
     if coeffs.size == 0:
         return 0.0
     products = coeffs[:, None] * coeffs.conj()[None, :]
@@ -225,29 +242,29 @@ def pairwise_exponential_energy(coeffs, exps, T: float) -> float:
     budget = float(np.sum(np.abs(products) * np.abs(integrals)))
     if total.real < 0.0:
         if total.real < -1e-9 * (budget + 1.0):
-            raise ArithmeticError(
-                f"energy integral came out negative beyond rounding: {total.real}"
+            raise AuditFailure(
+                f"energy integral came out negative beyond rounding: {total.real}",
+                datum=(total.real, budget),
             )
         return 0.0
     return total.real
 
 
-def _family_terms(family: ExponentFamily):
-    coeffs = np.concatenate([family.Cs, family.Cs.conj(), family.Rs.astype(complex)])
-    exps = np.concatenate(
-        [1j * family.omegas, -1j * family.omegas.conj(), family.rs.astype(complex)]
-    )
-    return coeffs, exps
+def _signal_energy(Cs, Rs, omegas, rs, T: float) -> float:
+    """Exact energy over [0, T] of the real signal
+    sum_n C_n e^{i omega_n t} + conj(C_n) e^{-i conj(omega_n) t} + R_n e^{r_n t}.
+    """
+    coeffs = np.concatenate([Cs, Cs.conj(), Rs.astype(complex)])
+    exps = np.concatenate([1j * omegas, -1j * omegas.conj(), rs.astype(complex)])
+    return pairwise_exponential_energy(coeffs, exps, T)
 
 
 def energy_integral(family: ExponentFamily, T: float) -> float:
     """Exact integral_0^T |F(t)|^2 dt for the family's signal F."""
     if len(family) == 0:
-        raise ValueError("family must be nonempty")
-    if T <= 0.0:
-        raise ValueError("T must be > 0")
-    coeffs, exps = _family_terms(family)
-    return pairwise_exponential_energy(coeffs, exps, T)
+        raise InputError("family must be nonempty")
+    _check_horizon(T)
+    return _signal_energy(family.Cs, family.Rs, family.omegas, family.rs, T)
 
 
 def constant_S(mu: float, theta: float) -> float:
@@ -258,7 +275,7 @@ def constant_S(mu: float, theta: float) -> float:
     if theta <= 0.5:
         raise ThetaOutOfRange(f"theta must be > 1/2, got {theta}")
     if mu < 0.0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
+        raise InputError(f"mu must be >= 0, got {mu}")
     if theta == 1.0:
         tail_sum = PI * PI / 6.0
     else:
@@ -275,8 +292,7 @@ def check_hypotheses(family: ExponentFamily, T: float) -> list:
     violations = []
     n = len(family)
     gamma, tau = family.gamma, family.tau
-    if T <= 0.0:
-        raise ValueError("T must be > 0")
+    _check_horizon(T)
     if gamma <= 2.0 * PI / T:
         violations.append(
             Violation("window", (), f"gamma={gamma} <= 2*pi/T={2.0 * PI / T}")
@@ -334,7 +350,9 @@ def energy_lower_bound(family: ExponentFamily, T: float, check: bool = True) -> 
     With check=True (default) the family hypotheses are verified first
     (HypothesisError listing every violation) and the inequality
     lhs >= rhs - 1e-9*(1 + |rhs|) is certified (AuditFailure otherwise).
+    A horizon that makes rhs non-finite is rejected with OutOfRange.
     """
+    _check_horizon(T)
     if check:
         violations = check_hypotheses(family, T)
         if violations:
@@ -350,6 +368,7 @@ def energy_lower_bound(family: ExponentFamily, T: float, check: bool = True) -> 
     )
     sub = (8.0 * PI / (T * gamma * gamma)) * (1.0 + S / 2.0) * float(np.sum(weights))
     rhs = main - sub
+    _check_horizon(T, rhs=rhs)
     lhs = energy_integral(family, T)
     margin = lhs - rhs
     if check and margin < -1e-9 * (1.0 + abs(rhs)):

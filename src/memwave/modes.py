@@ -31,6 +31,7 @@ from .errors import (
     DegenerateExponents,
     DegenerateMode,
     GridTooCoarse,
+    InputError,
     NoUsableModes,
     RealityViolation,
 )
@@ -70,12 +71,12 @@ class InitialData:
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
         expected = (self.kmax, self.kmax)
         if self.a.shape != expected or self.b.shape != expected:
-            raise ValueError(
+            raise InputError(
                 f"coefficient arrays must have shape {expected}, "
                 f"got {self.a.shape} and {self.b.shape}"
             )
         if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.b))):
-            raise ValueError("coefficient arrays must be finite")
+            raise InputError("coefficient arrays must be finite")
 
     @classmethod
     def from_samples(cls, u0_values, u1_values, kmax: int) -> "InitialData":
@@ -127,10 +128,10 @@ def sine_coefficients(values, kmax: int) -> np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise ValueError(f"expected a square 2-D sample grid, got shape {values.shape}")
+        raise InputError(f"expected a square 2-D sample grid, got shape {values.shape}")
     m = values.shape[0]
     if kmax < 1:
-        raise ValueError("kmax must be >= 1")
+        raise InputError("kmax must be >= 1")
     if m < 2 * kmax + 1:
         raise GridTooCoarse(
             f"grid of {m} points per direction cannot resolve kmax={kmax}; "
@@ -173,7 +174,7 @@ def expand(params: KernelParams, data: InitialData, kmax: Optional[int] = None) 
     if kmax is None:
         kmax = data.kmax
     if kmax < 1 or kmax > data.kmax:
-        raise ValueError(f"kmax must lie in [1, {data.kmax}], got {kmax}")
+        raise InputError(f"kmax must lie in [1, {data.kmax}], got {kmax}")
     lam, omega, r = mode_spectrum(params, kmax)
     a = data.a[:kmax, :kmax]
     b = data.b[:kmax, :kmax]
@@ -245,7 +246,7 @@ def evaluate_solution_grid(expansion: ModeExpansion, t: float, xs, ys) -> np.nda
 def evaluate_solution(expansion: ModeExpansion, t: float, x: float, y: float) -> float:
     """Truncated solution at a single point; zero on the boundary of the square."""
     if t < 0.0:
-        raise ValueError("t must be >= 0")
+        raise InputError("t must be >= 0")
     return float(evaluate_solution_grid(expansion, t, [x], [y])[0, 0])
 
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import NotPositiveWarning, OutOfRange, ThetaOutOfRange
 from .gap_analysis import gap_constant
-from .ingham import constant_S, pairwise_exponential_energy
+from .ingham import _check_horizon, _signal_energy, constant_S
 from .modes import InitialData, ModeExpansion, expand, mu_from_expansion
 from .spectrum import BETA_MAX, KernelParams
 
@@ -71,8 +71,7 @@ class ObservabilityConfig:
     def __post_init__(self):
         if not (0.0 <= self.beta <= BETA_MAX + 1e-12):
             raise OutOfRange(f"beta must lie in [0, 2/sqrt(3)], got {self.beta}")
-        if not self.T > 0.0:
-            raise OutOfRange(f"T must be > 0, got {self.T}")
+        _check_horizon(self.T)
         if self.kmax < 1:
             raise OutOfRange(f"kmax must be >= 1, got {self.kmax}")
         if self.theta <= 0.5:
@@ -83,24 +82,27 @@ class ObservabilityConfig:
 
 @dataclass(frozen=True)
 class ObservabilityReport:
-    """Both sides of the trace-energy inequality, its constants, and the verdict."""
+    """Both sides of the trace-energy inequality, its constants, and the verdict.
 
-    lhs: float
-    rhs_sum: float
-    S: float
-    c0: float
-    T0: float
-    beta0: float
-    margin: float
-    verdict: bool
-    gamma: float
-    mu: float
-    below_threshold: bool
-    infeasible: bool
+    Field order is the key order of the `observe` CLI report.
+    """
+
     beta: float
     T: float
     kmax: int
     theta: float
+    mu: float
+    gamma: float
+    S: float
+    c0: float
+    T0: float
+    beta0: float
+    lhs: float
+    rhs_sum: float
+    margin: float
+    verdict: bool
+    below_threshold: bool
+    infeasible: bool
 
 
 def thresholds(beta: float, mu: float, theta: float = 1.0):
@@ -139,15 +141,16 @@ def observability_constant(T: float, beta: float, S: float) -> float:
     """The explicit constant c0(T); positive exactly when T exceeds the threshold.
 
     The value is returned even when nonpositive, flagged with a
-    NotPositiveWarning (time horizon at or below the threshold).
+    NotPositiveWarning (time horizon at or below the threshold).  A horizon
+    for which c0 is not finite is rejected with OutOfRange.
     """
-    if T <= 0.0:
-        raise OutOfRange(f"T must be > 0, got {T}")
+    _check_horizon(T)
     gamma = gap_constant(beta).gamma
     value = (T * PI * PI / 2.0) * (
         1.0 / (PI * PI + T * T * beta * beta)
         - 4.0 * (4.0 + 3.0 * S) / (T * T * gamma * gamma)
     )
+    _check_horizon(T, c0=value)
     if value <= 0.0:
         warnings.warn(
             f"observability constant is nonpositive ({value}); "
@@ -158,13 +161,6 @@ def observability_constant(T: float, beta: float, S: float) -> float:
     return value
 
 
-def _line_energy(weighted_C: np.ndarray, weighted_R: np.ndarray,
-                 omega: np.ndarray, r: np.ndarray, T: float) -> float:
-    coeffs = np.concatenate([weighted_C, weighted_C.conj(), weighted_R.astype(complex)])
-    exps = np.concatenate([1j * omega, -1j * omega.conj(), r.astype(complex)])
-    return pairwise_exponential_energy(coeffs, exps, T)
-
-
 def boundary_trace_energy(expansion: ModeExpansion, T: float, threads: int = 1) -> float:
     """Exact integral_0^T integral_Gamma |du/dnu|^2 for the truncated series.
 
@@ -172,8 +168,7 @@ def boundary_trace_energy(expansion: ModeExpansion, T: float, threads: int = 1) 
     per column (side x = 0, weights k1), combined in index order so repeated
     runs are bit-identical.
     """
-    if T <= 0.0:
-        raise ValueError("T must be > 0")
+    _check_horizon(T)
     kmax = expansion.kmax
     k = np.arange(1, kmax + 1, dtype=float)
 
@@ -186,8 +181,7 @@ def boundary_trace_energy(expansion: ModeExpansion, T: float, threads: int = 1) 
                      expansion.omega[:, k2], expansion.r[:, k2]))
 
     def run(job):
-        wc, wr, om, rr = job
-        return _line_energy(wc, wr, om, rr, T)
+        return _signal_energy(*job, T)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

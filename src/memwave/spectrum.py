@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComplexRegime, NegativeRadicand
+from .errors import ComplexRegime, InputError, NegativeRadicand
 
 __all__ = [
     "KernelParams",
@@ -64,12 +64,12 @@ class KernelParams:
 
     def __post_init__(self):
         if not (self.beta >= 0.0 and math.isfinite(self.beta)):
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+            raise InputError(f"beta must be finite and >= 0, got {self.beta}")
         if not (self.eta >= 0.0 and math.isfinite(self.eta)):
-            raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
+            raise InputError(f"eta must be finite and >= 0, got {self.eta}")
         # rounding slack so decimal inputs like (0.1, 0.15) stay admissible
         if self.eta < 1.5 * self.beta - 1e-12 * max(1.0, self.eta):
-            raise ValueError(
+            raise InputError(
                 f"eta must be >= 3*beta/2, got eta={self.eta}, beta={self.beta}"
             )
 
@@ -102,7 +102,7 @@ class SpectralTriple:
 def laplace_eigenvalue(k1: int, k2: int) -> float:
     """Dirichlet Laplacian eigenvalue k1^2 + k2^2 of the mode (k1, k2)."""
     if k1 < 1 or k2 < 1 or k1 != int(k1) or k2 != int(k2):
-        raise ValueError(f"mode indices must be integers >= 1, got ({k1}, {k2})")
+        raise InputError(f"mode indices must be integers >= 1, got ({k1}, {k2})")
     return float(k1 * k1 + k2 * k2)
 
 
@@ -115,7 +115,7 @@ def phi_psi(params: KernelParams, lam: float):
     """
     lam = np.asarray(lam, dtype=float)
     if np.any(lam <= 0.0):
-        raise ValueError("lam must be > 0")
+        raise InputError("lam must be > 0")
     beta, eta = params.beta, params.eta
     mid = 2.0 * eta * eta + 6.75 * beta * beta - 9.0 * eta * beta
     radicand = 1.0 + mid / lam + eta**3 * (eta - beta) / lam**2
@@ -137,7 +137,7 @@ def phi_psi_limiting(beta: float, lam: float):
     """
     lam = np.asarray(lam, dtype=float)
     if np.any(lam <= 0.0):
-        raise ValueError("lam must be > 0")
+        raise InputError("lam must be > 0")
     radicand = 1.0 - 2.25 * beta * beta / lam + 1.6875 * beta**4 / lam**2
     if np.any(radicand < 0.0):
         raise NegativeRadicand(f"Phi radicand negative at beta={beta}")
@@ -181,7 +181,7 @@ def characteristic_roots_numeric(params: KernelParams, lam: float):
     cross-check for `characteristic_roots`.
     """
     if lam <= 0.0:
-        raise ValueError("lam must be > 0")
+        raise InputError("lam must be > 0")
     roots = np.roots([1.0, params.eta, lam, (params.eta - params.beta) * lam])
     real_idx = int(np.argmin(np.abs(roots.imag)))
     pair = sorted((roots[i] for i in range(3) if i != real_idx),
@@ -195,7 +195,11 @@ def vieta_residuals(triple: SpectralTriple, params: KernelParams, lam: float):
     Returns (|e1 + eta|, |e2 - lam|, |e3 + (eta-beta)*lam|) where e1, e2, e3
     are the elementary symmetric functions of {i*omega, -i*conj(omega), r}.
     """
-    z1, z2, z3 = triple.roots()
+    return _vieta_residuals(*triple.roots(), params, lam)
+
+
+def _vieta_residuals(z1, z2, z3, params: KernelParams, lam):
+    """Elementwise core of `vieta_residuals`: roots and lam may be scalars or arrays."""
     e1 = z1 + z2 + z3
     e2 = z1 * z2 + z1 * z3 + z2 * z3
     e3 = z1 * z2 * z3
@@ -212,7 +216,7 @@ def mode_spectrum(params: KernelParams, kmax: int):
     Returns (lam, omega, r) as (kmax, kmax) arrays indexed [k1-1, k2-1].
     """
     if kmax < 1:
-        raise ValueError("kmax must be >= 1")
+        raise InputError("kmax must be >= 1")
     k = np.arange(1, kmax + 1, dtype=float)
     lam = k[:, None] ** 2 + k[None, :] ** 2
     phi, psi = phi_psi(params, lam)

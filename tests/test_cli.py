@@ -6,9 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from memwave import gap_constant
+from memwave import Violation, gap_constant
 from memwave.cli import format_float, load_config, parse_and_dispatch
-from memwave.errors import ParseError, ValidationError
+from memwave.errors import (
+    AuditFailure,
+    CertificationFailure,
+    HypothesisError,
+    InputError,
+    MemwaveError,
+    MonotonicityFailure,
+    ParseError,
+    ValidationError,
+)
 
 
 def run(argv, capsys):
@@ -211,23 +220,118 @@ class TestThresholdsCommand:
         assert last[3] == "inf"
 
 
+def concrete_errors():
+    """Every subclass of MemwaveError below the two exit-code bases."""
+    found, stack = set(), [MemwaveError]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            stack.append(sub)
+            found.add(sub)
+    return sorted(found - {InputError, CertificationFailure}, key=lambda c: c.__name__)
+
+
+#: Constructor arguments of the errors whose signature is not (message,).
+ERROR_ARGS = {
+    AuditFailure: ("forced failure", (3, 4)),
+    MonotonicityFailure: ("forced failure", 0.5),
+    HypothesisError: ([Violation("window", (), "forced failure")],),
+    ParseError: ("forced failure", 7),
+    ValidationError: ("field", "forced failure"),
+}
+
+
 class TestExitCodes:
     def test_assertion_failure_exits_1(self, capsys, monkeypatch):
-        # an internal certified-inequality failure maps to exit 1 with the datum
+        # the exit status follows the error's base: 1 for a failed certified
+        # check (with the datum), 2 for rejected input; every concrete error
+        # has exactly one of the two bases
         import memwave.cli as cli
-        from memwave.errors import AuditFailure
+
+        classes = concrete_errors()
+        assert len(classes) >= 17
+        for cls in classes:
+            bases = [b for b in (InputError, CertificationFailure) if issubclass(cls, b)]
+            assert len(bases) == 1, cls
+            error = cls(*ERROR_ARGS.get(cls, ("forced failure",)))
+
+            def boom(params, kmax, error=error):
+                raise error
+
+            monkeypatch.setattr(cli, "audit_gaps", boom)
+            status, _, err = run(["gaps", "--beta", "0.1", "--kmax", "4"], capsys)
+            assert status == (1 if bases[0] is CertificationFailure else 2), cls
+            assert "forced failure" in err and "\n" not in err.strip(), cls
+            if cls is AuditFailure:
+                assert "(3, 4)" in err
+
+    def test_other_exceptions_propagate(self, capsys, monkeypatch):
+        # an exception outside the hierarchy is a bug, not an exit status
+        import memwave.cli as cli
 
         def boom(params, kmax):
-            raise AuditFailure("forced failure", datum=(3, 4))
+            raise ZeroDivisionError("bug")
 
         monkeypatch.setattr(cli, "audit_gaps", boom)
-        status, _, err = run(["gaps", "--beta", "0.1", "--kmax", "4"], capsys)
-        assert status == 1
-        assert "(3, 4)" in err
+        with pytest.raises(ZeroDivisionError):
+            parse_and_dispatch(["gaps", "--beta", "0.1", "--kmax", "4"])
 
     def test_no_subcommand_exits_2(self, capsys):
         status, _, err = run([], capsys)
         assert status == 2
+
+
+class TestRejectedNumbers:
+    OBSERVE = ["observe", "--beta", "0.01", "--T", "50", "--kmax", "3", "--mu", "1"]
+
+    @pytest.mark.parametrize("argv, field", [
+        (OBSERVE + ["--T", "inf"], "t"),
+        (OBSERVE + ["--T=-inf"], "t"),
+        (OBSERVE + ["--T", "nan"], "t"),
+        (OBSERVE + ["--mu", "inf"], "mu"),
+        (OBSERVE + ["--mu", "nan"], "mu"),
+        (OBSERVE + ["--theta", "inf"], "theta"),
+        (OBSERVE + ["--beta", "nan"], "beta"),
+        (["thresholds", "--mu", "nan", "--beta-steps", "2"], "mu"),
+        (["thresholds", "--mu", "inf", "--beta-steps", "2"], "mu"),
+        (["thresholds", "--mu", "1", "--theta", "nan", "--beta-steps", "2"], "theta"),
+        (["spectrum", "--beta", "0", "--eta", "inf", "--kmax", "2"], "eta"),
+        (["ingham-check", "--family", "{family}", "--T", "inf"], "t"),
+    ], ids=lambda v: v if isinstance(v, str) else "-".join(v[:1] + v[-2:]))
+    def test_non_finite_exits_2(self, argv, field, tmp_path, capsys):
+        u0, u1 = write_grids(tmp_path)
+        out = tmp_path / "out"
+        argv = [a.format(family=write_family(tmp_path)) for a in argv]
+        if argv[0] == "observe":
+            argv += ["--u0", u0, "--u1", u1]
+        status, _, err = run(argv + ["--output", str(out)], capsys)
+        assert status == 2
+        assert err.startswith(f"error: {field}: must be finite")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("horizon", ["1e-300", "1e-160", "1e300"])
+    def test_horizon_breaking_arithmetic_exits_2(self, horizon, tmp_path, capsys):
+        # T^2 underflows to 0 (division by zero), c0 or the bound's right side
+        # overflows, or T^2 overflows and c0 collapses to 0
+        u0, u1 = write_grids(tmp_path)
+        for argv in (
+            ["observe", "--beta", "0.01", "--T", horizon, "--kmax", "3", "--mu", "1",
+             "--u0", u0, "--u1", u1],
+            ["ingham-check", "--family", write_family(tmp_path), "--T", horizon],
+        ):
+            out = tmp_path / "out"
+            status, _, err = run(argv + ["--output", str(out)], capsys)
+            assert status == 2, argv[0]
+            assert err.startswith("error: ") and "T" in err
+            assert not out.exists()
+
+    def test_family_gamma_must_be_positive(self, tmp_path, capsys):
+        family = json.loads(open(write_family(tmp_path)).read())
+        family["gamma"] = 0.0
+        path = tmp_path / "gamma0.json"
+        path.write_text(json.dumps(family))
+        status, _, err = run(["ingham-check", "--family", str(path), "--T", "4"], capsys)
+        assert status == 2
+        assert "gamma" in err
 
 
 class TestConfigFile:
@@ -268,6 +372,15 @@ class TestConfigFile:
         with pytest.raises(ValidationError) as err:
             load_config(str(conf))
         assert err.value.field == "betta"
+
+    def test_known_keys_are_the_flag_destinations(self):
+        from memwave.cli import _KNOWN_KEYS
+
+        assert _KNOWN_KEYS == {
+            "subcommand", "beta", "eta", "kmax", "format", "steps", "gamma_table",
+            "family", "t", "u0", "u1", "emit", "mu", "theta", "report", "beta_steps",
+            "threads", "output",
+        }
 
     def test_comments_and_hyphens(self, tmp_path, capsys):
         conf = tmp_path / "ok.conf"

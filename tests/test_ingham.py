@@ -12,6 +12,8 @@ from memwave import (
     AuditFailure,
     ExponentFamily,
     HypothesisError,
+    InputError,
+    OutOfRange,
     PoleError,
     ThetaOutOfRange,
     check_hypotheses,
@@ -176,6 +178,15 @@ class TestEnergyIntegral:
         with pytest.raises(ValueError):
             energy_integral(family, 1.0)
 
+    def test_negative_energy_is_audit_failure(self, monkeypatch):
+        # a negative energy beyond rounding is a failed certified check
+        import memwave.ingham as ingham
+
+        monkeypatch.setattr(ingham, "exp_integral", lambda s, T: -T * np.ones_like(s))
+        with pytest.raises(AuditFailure) as err:
+            ingham.pairwise_exponential_energy([1.0, 1.0], [0.0, 0.0], 2.0)
+        assert err.value.datum[0] == -8.0
+
     def test_against_quadrature(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -197,6 +208,29 @@ class TestEnergyIntegral:
         a = energy_integral(family, T)
         b = energy_integral(shuffled, T)
         assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
+
+
+class TestHorizonGuard:
+    @pytest.mark.parametrize("T", [0.0, -1.0, 1e-300, 1e300, math.inf, math.nan])
+    def test_square_of_horizon_must_be_positive_and_finite(self, T):
+        family = single_frequency_family(3.0, 0.5, gamma=3.0)
+        with pytest.raises(OutOfRange):
+            energy_integral(family, T)
+        with pytest.raises(OutOfRange):
+            check_hypotheses(family, T)
+        with pytest.raises(OutOfRange):
+            window_kernel(2.0, T)
+
+    def test_non_finite_bound_rejected(self):
+        # T^2 = 1e-320 is positive, but the bound's right side overflows
+        family = single_frequency_family(3.0, 0.5, gamma=3.0)
+        with pytest.raises(OutOfRange):
+            energy_lower_bound(family, 1e-160, check=False)
+
+    def test_gamma_must_be_positive(self):
+        for gamma in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(InputError):
+                single_frequency_family(3.0, 0.5, gamma=gamma)
 
 
 class TestConstantS:

@@ -132,6 +132,12 @@ class TestObservabilityConstant:
         with pytest.warns(NotPositiveWarning):
             observability_constant(0.5 * t0, 0.0, constant_S(1.0, 1.0))
 
+    @pytest.mark.parametrize("T", [1e-300, 1e-160, 1e300, math.inf, math.nan])
+    def test_horizon_breaking_arithmetic_rejected(self, T):
+        # T^2 of 0 or inf, or a non-finite c0, is an input error, not a value
+        with pytest.raises(OutOfRange):
+            observability_constant(T, 0.01, constant_S(1.0, 1.0))
+
     def test_increasing_in_horizon_memoryless(self):
         # at beta = 0 the constant is T/2 - K/T: strictly increasing everywhere
         S = constant_S(1.0, 1.0)
