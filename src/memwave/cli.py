@@ -9,17 +9,17 @@ modes         recover per-mode coefficients from sampled initial data
 observe       full observability report as JSON
 thresholds    beta, gamma, S, T0 table as CSV
 
-Global flags --threads, --output and --config are accepted by every
-subcommand.  A config file is a flat `key = value` document (# comments);
-command-line flags override file values.  All numbers are emitted with 17
-significant digits so repeated runs are byte-identical and values round-trip
-exactly.
+Global flags --output and --config are accepted by every subcommand.  A
+config file is a flat `key = value` document (# comments); command-line flags
+override file values.  All numbers are emitted with 17 significant digits so
+repeated runs are byte-identical and values round-trip exactly.
 
 Exit status follows the error type: 0 on success, 2 for an `errors.InputError`
 (bad input; one-line diagnostic on stderr), 1 for an `errors.CertificationFailure`
 (a certified check failed; offending datum printed); any other exception is a
-bug and propagates.  Rejected as input: non-finite numbers (`inf`, `nan`) and a
-horizon T whose square is 0 or infinite, or that makes c0 or the bound non-finite.
+bug and propagates.  Rejected as input: non-finite numbers (`inf`, `nan`) in
+flags or family files, a horizon T whose square is 0 or infinite, or that makes
+c0 or the bound non-finite, and a mu whose load 4*(4 + 3*S) or T0 overflows.
 """
 
 from __future__ import annotations
@@ -354,7 +354,7 @@ def _run_modes(res: _Resolver, output: Optional[str]) -> None:
     _write_output(_mode_table(columns, "json"), emit)
 
 
-def _run_observe(res: _Resolver, output: Optional[str], threads: int) -> None:
+def _run_observe(res: _Resolver, output: Optional[str]) -> None:
     beta = res.get_float("beta", required=True, minimum=0.0, maximum=BETA_MAX)
     horizon = res.get_float("t", required=True, exclusive_min=0.0)
     kmax = res.get_int("kmax", required=True, minimum=1, maximum=_KMAX_LIMIT)
@@ -363,7 +363,7 @@ def _run_observe(res: _Resolver, output: Optional[str], threads: int) -> None:
     report_path = res.get_str("report") or output
     data = _load_initial_data(res, kmax)
     config = ObservabilityConfig(beta=beta, T=horizon, kmax=kmax, mu=mu, theta=theta)
-    report = verify_observability(config, data, threads=threads)
+    report = verify_observability(config, data)
     _write_output(json_dumps(asdict(report)) + "\n", report_path)
 
 
@@ -386,8 +386,6 @@ def _run_thresholds(res: _Resolver, output: Optional[str]) -> None:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads for row-parallel reductions (default 1)")
     common.add_argument("--output", default=None, help="write output to this path")
     common.add_argument("--config", default=None,
                         help="key = value config file; flags override file values")
@@ -474,7 +472,6 @@ def parse_and_dispatch(argv) -> int:
         if args.config:
             file_params = dict(load_config(args.config).parameters)
         res = _Resolver(args, file_params)
-        threads = res.get_int("threads", default=1, minimum=1)
         output = res.get_str("output")
 
         if args.subcommand == "spectrum":
@@ -486,7 +483,7 @@ def parse_and_dispatch(argv) -> int:
         elif args.subcommand == "modes":
             _run_modes(res, output)
         elif args.subcommand == "observe":
-            _run_observe(res, output, threads)
+            _run_observe(res, output)
         elif args.subcommand == "thresholds":
             _run_thresholds(res, output)
         else:  # pragma: no cover - argparse restricts choices

@@ -28,7 +28,10 @@ admits the explicit lower bound evaluated by `energy_lower_bound`:
     S = mu * max( sum_n n^{-2*theta}, pi^2/6 ).
 
 The left side is computed exactly by expanding into pairwise products of
-exponentials and integrating each in closed form.
+exponentials and integrating each in closed form.  For many signals on one
+set of exponents (the boundary trace), `_real_signal_gram` builds the
+closed-form Gram blocks of those exponents once and `_gram_energy` evaluates
+each signal's energy as quadratic forms in them.
 """
 
 from __future__ import annotations
@@ -70,6 +73,10 @@ PI = math.pi
 #: |s|*T below which the exponential integral switches to its Taylor series.
 _SERIES_CUTOFF = 1e-6
 
+#: |(p + q)*T| below which a Gram entry falls back from (e^{pT} e^{qT} - 1)/(p + q)
+#: to exp_integral.
+_GRAM_CUTOFF = 1e-3
+
 #: Rounding slack used when checking the exact family hypotheses.
 _HYP_SLACK = 1e-12
 
@@ -97,6 +104,11 @@ class ExponentFamily:
         object.__setattr__(self, "rs", np.asarray(self.rs, dtype=float))
         object.__setattr__(self, "Cs", np.asarray(self.Cs, dtype=complex))
         object.__setattr__(self, "Rs", np.asarray(self.Rs, dtype=float))
+        for name in ("omegas", "rs", "Cs", "Rs"):
+            bad = np.flatnonzero(~np.isfinite(getattr(self, name)))
+            if bad.size:
+                raise InputError(
+                    f"{name} must be finite, got {getattr(self, name)[bad[0]]} at n={bad[0] + 1}")
         n = len(self.omegas)
         if not (len(self.rs) == len(self.Cs) == len(self.Rs) == n):
             raise InputError("omegas, rs, Cs, Rs must have equal lengths")
@@ -223,11 +235,31 @@ def exp_integral(s, T: float):
     return complex(out) if out.ndim == 0 else out
 
 
+def _clamped_energy(total: float, budget) -> float:
+    """An exact energy `total` evaluated in floating point, clamped at zero.
+
+    `budget()` is the sum of the magnitudes of the terms summed into `total`;
+    it is evaluated only when `total` is negative.  A negative residue within
+    1e-9*(budget + 1) is rounding and gives 0.0; beyond that the energy
+    certificate has failed (AuditFailure with datum (total, budget)).
+    """
+    if total < 0.0:
+        scale = budget()
+        if total < -1e-9 * (scale + 1.0):
+            raise AuditFailure(
+                f"energy integral came out negative beyond rounding: {total}",
+                datum=(total, scale),
+            )
+        return 0.0
+    return total
+
+
 def pairwise_exponential_energy(coeffs, exps, T: float) -> float:
     """Exact integral_0^T |sum_a z_a e^{s_a t}|^2 dt by pairwise expansion.
 
     The result is real and nonnegative whenever the term list represents a
-    real signal; tiny negative rounding residue is clamped to zero.
+    real signal; tiny negative rounding residue is clamped to zero.  This is
+    the general path and the slow oracle of the Gram kernel below.
     """
     coeffs = np.asarray(coeffs, dtype=complex).reshape(-1)
     exps = np.asarray(exps, dtype=complex).reshape(-1)
@@ -236,27 +268,70 @@ def pairwise_exponential_energy(coeffs, exps, T: float) -> float:
     if coeffs.size == 0:
         return 0.0
     products = coeffs[:, None] * coeffs.conj()[None, :]
-    pair_exps = exps[:, None] + exps.conj()[None, :]
-    integrals = exp_integral(pair_exps, T)
-    total = complex(np.sum(products * integrals))
-    budget = float(np.sum(np.abs(products) * np.abs(integrals)))
-    if total.real < 0.0:
-        if total.real < -1e-9 * (budget + 1.0):
-            raise AuditFailure(
-                f"energy integral came out negative beyond rounding: {total.real}",
-                datum=(total.real, budget),
-            )
-        return 0.0
-    return total.real
+    integrals = exp_integral(exps[:, None] + exps.conj()[None, :], T)
+    total = complex(np.sum(products * integrals)).real
+    return _clamped_energy(
+        total, lambda: float(np.sum(np.abs(products) * np.abs(integrals))))
 
 
-def _signal_energy(Cs, Rs, omegas, rs, T: float) -> float:
-    """Exact energy over [0, T] of the real signal
-    sum_n C_n e^{i omega_n t} + conj(C_n) e^{-i conj(omega_n) t} + R_n e^{r_n t}.
+def _gram_block(p, u, q, v, T: float) -> np.ndarray:
+    """G_ab = integral_0^T e^{(p_a + q_b) t} dt = (u_a v_b - 1)/(p_a + q_b),
+    given u = e^{p T} and v = e^{q T}.
+
+    Entries with |(p_a + q_b) T| < _GRAM_CUTOFF come from exp_integral, since
+    u_a v_b - 1 loses digits as it nears zero.
     """
-    coeffs = np.concatenate([Cs, Cs.conj(), Rs.astype(complex)])
-    exps = np.concatenate([1j * omegas, -1j * omegas.conj(), rs.astype(complex)])
-    return pairwise_exponential_energy(coeffs, exps, T)
+    s = np.add.outer(p, q)
+    small = np.abs(s) < _GRAM_CUTOFF / T
+    block = np.multiply.outer(u, v) - 1.0
+    np.divide(block, s, out=block, where=~small)
+    if small.any():
+        fallback = exp_integral(s[small], T)
+        block[small] = fallback if np.iscomplexobj(block) else fallback.real
+    return block
+
+
+def _real_signal_gram(omegas, rs, T: float) -> tuple:
+    """The four Gram blocks of the real signal F = 2 Re X + Y over [0, T],
+
+        X(t) = sum_a C_a e^{i omega_a t},    Y(t) = sum_a R_a e^{r_a t},
+
+    for the exponents (omegas, rs) and any coefficients (C, R):
+    (integral e^{(p_a + p_b) t}, integral e^{(p_a + conj p_b) t},
+     integral e^{(p_a + r_b) t}, integral e^{(r_a + r_b) t}) with p = i*omega.
+    Every exponent must have a nonpositive real part (Im omega >= 0, r <= 0),
+    so that |e^{p T}| <= 1 and no entry overflows.
+    """
+    p = 1j * np.asarray(omegas, dtype=complex)
+    r = np.asarray(rs, dtype=float)
+    u, v = np.exp(p * T), np.exp(r * T)
+    hermitian = _gram_block(p, u, p.conj(), u.conj(), T)
+    # The diagonal carries the |C_a|^2 terms that dominate the energy, and
+    # |u_a|^2 - 1 cancels when Im omega_a*T is small: take it from exp_integral.
+    np.fill_diagonal(hermitian, exp_integral(2.0 * p.real, T))
+    return (_gram_block(p, u, p, u, T), hermitian,
+            _gram_block(p, u, r, v, T), _gram_block(r, v, r, v, T))
+
+
+def _gram_energy(gram, Cs, Rs) -> float:
+    """Exact energy of the real signal with coefficients (Cs, Rs) on the
+    exponents of `gram` (from _real_signal_gram):
+
+        integral F^2 = 2 Re integral X^2 + 2 integral |X|^2
+                       + 4 Re integral X Y + integral Y^2.
+
+    Each quadratic form is an elementwise product summed by np.sum, not a
+    BLAS matrix-vector product, so its cost and summation order do not
+    depend on the BLAS thread count.
+    """
+    outer = np.multiply.outer
+    terms = (outer(Cs, Cs), outer(Cs, Cs.conj()), outer(Cs, Rs), outer(Rs, Rs))
+    weights = (2.0, 2.0, 4.0, 1.0)
+    total = sum(w * np.sum(g * z).real for w, g, z in zip(weights, gram, terms))
+    return _clamped_energy(
+        float(total),
+        lambda: float(sum(w * np.sum(np.abs(g) * np.abs(z))
+                          for w, g, z in zip(weights, gram, terms))))
 
 
 def energy_integral(family: ExponentFamily, T: float) -> float:
@@ -264,13 +339,18 @@ def energy_integral(family: ExponentFamily, T: float) -> float:
     if len(family) == 0:
         raise InputError("family must be nonempty")
     _check_horizon(T)
-    return _signal_energy(family.Cs, family.Rs, family.omegas, family.rs, T)
+    coeffs = np.concatenate([family.Cs, family.Cs.conj(), family.Rs.astype(complex)])
+    exps = np.concatenate([1j * family.omegas, -1j * family.omegas.conj(),
+                           family.rs.astype(complex)])
+    return pairwise_exponential_energy(coeffs, exps, T)
 
 
 def constant_S(mu: float, theta: float) -> float:
     """S = mu * max( zeta(2*theta), pi^2/6 ); exactly mu*pi^2/6 when theta = 1.
 
-    Requires theta > 1/2 and mu >= 0 (the mu -> 0 limit gives S = 0).
+    Requires theta > 1/2 and mu >= 0 (the mu -> 0 limit gives S = 0), and a
+    mu small enough that the load 4*(4 + 3*S) of c0, T0 and beta0 is finite
+    (OutOfRange otherwise).
     """
     if theta <= 0.5:
         raise ThetaOutOfRange(f"theta must be > 1/2, got {theta}")
@@ -280,7 +360,10 @@ def constant_S(mu: float, theta: float) -> float:
         tail_sum = PI * PI / 6.0
     else:
         tail_sum = float(zeta(2.0 * theta))
-    return mu * max(tail_sum, PI * PI / 6.0)
+    S = mu * max(tail_sum, PI * PI / 6.0)
+    if not math.isfinite(4.0 * (4.0 + 3.0 * S)):
+        raise OutOfRange(f"mu={mu} makes S={S} or the load 4*(4 + 3*S) non-finite")
+    return S
 
 
 def check_hypotheses(family: ExponentFamily, T: float) -> list:

@@ -9,8 +9,12 @@ energies per mode row and column:
         + (pi/2) * sum_{k2} integral_0^T | sum_{k1} k1 * x_{k1 k2}(t) |^2 dt,
 
 with x_{k1 k2}(t) = C e^{i omega t} + conj(C) e^{-i conj(omega) t} + R e^{r t}.
-Each row/column integral is evaluated exactly by pairwise exponential
-integration (no time quadrature in the verdict path).
+Each row/column integral is evaluated exactly (no time quadrature in the
+verdict path) as quadratic forms in the closed-form Gram matrix
+G_ab = integral_0^T e^{(s_a + s_b) t} dt of its exponents.  Row k and column
+k have the same exponents, so each index needs one Gram matrix, held as four
+kmax x kmax blocks of the real signal 2 Re X + Y (see ingham._real_signal_gram):
+O(kmax^2) memory, O(kmax^3) time in all.
 
 The verdict compares this trace energy with
 
@@ -32,7 +36,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,7 +43,7 @@ import numpy as np
 
 from .errors import NotPositiveWarning, OutOfRange, ThetaOutOfRange
 from .gap_analysis import gap_constant
-from .ingham import _check_horizon, _signal_energy, constant_S
+from .ingham import _check_horizon, _gram_energy, _real_signal_gram, constant_S
 from .modes import InitialData, ModeExpansion, expand, mu_from_expansion
 from .spectrum import BETA_MAX, KernelParams
 
@@ -110,7 +113,8 @@ def thresholds(beta: float, mu: float, theta: float = 1.0):
 
     beta0 is the unique crossing of gamma(b)^2 - 4*(4+3*S)*b^2 on (0, 2/sqrt(3)]
     (bisection to 1e-10; the function is strictly decreasing).  T0 is evaluated
-    at the given beta and is +inf when that beta is already infeasible.
+    at the given beta and is +inf when that beta is already infeasible; a
+    feasible beta whose T0 overflows (huge mu) is rejected with OutOfRange.
     """
     if not (0.0 <= beta <= BETA_MAX + 1e-12):
         raise OutOfRange(f"beta must lie in [0, 2/sqrt(3)], got {beta}")
@@ -133,7 +137,11 @@ def thresholds(beta: float, mu: float, theta: float = 1.0):
         beta0 = 0.5 * (lo + hi)
 
     denom = gap_constant(beta).gamma ** 2 - coeff * beta * beta
-    t0 = 2.0 * PI * math.sqrt((4.0 + 3.0 * S) / denom) if denom > 0.0 else math.inf
+    if denom <= 0.0:
+        return beta0, math.inf
+    t0 = 2.0 * PI * math.sqrt((4.0 + 3.0 * S) / denom)
+    if not math.isfinite(t0):
+        raise OutOfRange(f"mu={mu} makes T0 overflow at beta={beta}")
     return beta0, t0
 
 
@@ -161,33 +169,27 @@ def observability_constant(T: float, beta: float, S: float) -> float:
     return value
 
 
-def boundary_trace_energy(expansion: ModeExpansion, T: float, threads: int = 1) -> float:
+def boundary_trace_energy(expansion: ModeExpansion, T: float) -> float:
     """Exact integral_0^T integral_Gamma |du/dnu|^2 for the truncated series.
 
     One exponential-sum energy per mode row (side y = 0, weights k2) plus one
-    per column (side x = 0, weights k1), combined in index order so repeated
-    runs are bit-identical.
+    per column (side x = 0, weights k1).  Row k and column k share their
+    exponents (omega and r are symmetric in (k1, k2)), so one closed-form
+    Gram matrix per index serves both quadratic forms; an expansion whose
+    column exponents differ from the row's gets a Gram matrix per column.
+    The parts are summed by math.fsum, so the result does not depend on
+    their order.
     """
     _check_horizon(T)
-    kmax = expansion.kmax
-    k = np.arange(1, kmax + 1, dtype=float)
-
-    jobs = []
-    for k1 in range(kmax):  # side y = 0: row k1, normal derivative weight k2
-        jobs.append((expansion.C[k1, :] * k, expansion.R[k1, :] * k,
-                     expansion.omega[k1, :], expansion.r[k1, :]))
-    for k2 in range(kmax):  # side x = 0: column k2, weight k1
-        jobs.append((expansion.C[:, k2] * k, expansion.R[:, k2] * k,
-                     expansion.omega[:, k2], expansion.r[:, k2]))
-
-    def run(job):
-        return _signal_energy(*job, T)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, jobs))
-    else:
-        parts = [run(job) for job in jobs]
+    C, R, omega, r = expansion.C, expansion.R, expansion.omega, expansion.r
+    k = np.arange(1, expansion.kmax + 1, dtype=float)
+    parts = []
+    for i in range(expansion.kmax):
+        gram = _real_signal_gram(omega[i, :], r[i, :], T)
+        parts.append(_gram_energy(gram, C[i, :] * k, R[i, :] * k))  # row: weight k2
+        if not (np.array_equal(omega[:, i], omega[i, :]) and np.array_equal(r[:, i], r[i, :])):
+            gram = _real_signal_gram(omega[:, i], r[:, i], T)
+        parts.append(_gram_energy(gram, C[:, i] * k, R[:, i] * k))  # column: weight k1
     return (PI / 2.0) * math.fsum(parts)
 
 
@@ -197,9 +199,7 @@ def weighted_coefficient_sum(expansion: ModeExpansion, T: float) -> float:
     return float(np.sum(expansion.lam * weights))
 
 
-def verify_observability(
-    config: ObservabilityConfig, data: InitialData, threads: int = 1
-) -> ObservabilityReport:
+def verify_observability(config: ObservabilityConfig, data: InitialData) -> ObservabilityReport:
     """Assemble the full verdict for one configuration and data set.
 
     mu defaults to the empirical estimate from the expansion when not supplied.
@@ -216,7 +216,7 @@ def verify_observability(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NotPositiveWarning)
         c0 = observability_constant(config.T, config.beta, S)
-    lhs = boundary_trace_energy(expansion, config.T, threads=threads)
+    lhs = boundary_trace_energy(expansion, config.T)
     rhs_sum = weighted_coefficient_sum(expansion, config.T)
     margin = lhs - c0 * rhs_sum
     below_threshold = not (config.T > t0)

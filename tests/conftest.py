@@ -11,7 +11,7 @@ import math
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from memwave import ExponentFamily
+from memwave import ExponentFamily, pairwise_exponential_energy
 
 
 def random_admissible_family(rng, n=None, T=None, real_frequencies=False,
@@ -56,6 +56,22 @@ def family_signal(family):
         return float(np.sum(osc) + np.sum(dec))
 
     return f
+
+
+def pairwise_trace_energy(expansion, T):
+    """Slow oracle of boundary_trace_energy: one pairwise_exponential_energy per
+    mode row and per column, each over the 3*kmax terms of its real signal."""
+    k = np.arange(1, expansion.kmax + 1, dtype=float)
+
+    def side(C, R, omega, r):
+        coeffs = np.concatenate([C * k, (C * k).conj(), R * k])
+        exps = np.concatenate([1j * omega, -1j * omega.conj(), r])
+        return pairwise_exponential_energy(coeffs, exps, T)
+
+    e = expansion
+    parts = [side(e.C[i, :], e.R[i, :], e.omega[i, :], e.r[i, :]) for i in range(e.kmax)]
+    parts += [side(e.C[:, i], e.R[:, i], e.omega[:, i], e.r[:, i]) for i in range(e.kmax)]
+    return math.pi / 2.0 * math.fsum(parts)
 
 
 def quad_energy(family, T, epsabs=1e-11):

@@ -324,6 +324,33 @@ class TestRejectedNumbers:
             assert err.startswith("error: ") and "T" in err
             assert not out.exists()
 
+    def test_family_entries_must_be_finite(self, tmp_path, capsys):
+        # json reads NaN; the family must not reach the arithmetic with it
+        family = json.loads(open(write_family(tmp_path)).read())
+        family["omega_re"] = [3.0, math.nan]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(family))
+        out = tmp_path / "out"
+        status, _, err = run(["ingham-check", "--family", str(path), "--T", "4",
+                              "--output", str(out)], capsys)
+        assert status == 2
+        assert err.startswith("error: family: omegas must be finite")
+        assert not out.exists()
+
+    def test_huge_mu_exits_2(self, tmp_path, capsys):
+        # 4 + 3*S overflows: the error names mu, not T
+        u0, u1 = write_grids(tmp_path)
+        for argv in (
+            ["thresholds", "--mu", "1e308", "--beta-steps", "2"],
+            ["observe", "--beta", "0.01", "--T", "50", "--kmax", "3", "--mu", "1e308",
+             "--u0", u0, "--u1", u1],
+        ):
+            out = tmp_path / "out"
+            status, _, err = run(argv + ["--output", str(out)], capsys)
+            assert status == 2, argv[0]
+            assert err.startswith("error: mu=") and "T=" not in err
+            assert not out.exists()
+
     def test_family_gamma_must_be_positive(self, tmp_path, capsys):
         family = json.loads(open(write_family(tmp_path)).read())
         family["gamma"] = 0.0
@@ -379,7 +406,7 @@ class TestConfigFile:
         assert _KNOWN_KEYS == {
             "subcommand", "beta", "eta", "kmax", "format", "steps", "gamma_table",
             "family", "t", "u0", "u1", "emit", "mu", "theta", "report", "beta_steps",
-            "threads", "output",
+            "output",
         }
 
     def test_comments_and_hyphens(self, tmp_path, capsys):
@@ -407,16 +434,3 @@ class TestDeterminism:
         assert parse_and_dispatch(argv + ["--output", str(out_b)]) == 0
         capsys.readouterr()
         assert out_a.read_bytes() == out_b.read_bytes()
-
-    def test_observe_threaded_byte_identical(self, tmp_path, capsys):
-        u0, u1 = write_grids(tmp_path)
-        outs = []
-        for name, threads in (("a.json", "1"), ("b.json", "4")):
-            path = tmp_path / name
-            status, _, _ = run(
-                ["observe", "--beta", "0.01", "--T", "50", "--kmax", "3",
-                 "--mu", "1", "--u0", u0, "--u1", u1, "--report", str(path),
-                 "--threads", threads], capsys)
-            assert status == 0
-            outs.append(path.read_bytes())
-        assert outs[0] == outs[1]

@@ -35,10 +35,7 @@ CASES = {
     "ingham_check_violations": ("ingham-check", "--family", "{dir}/family_violating.json",
                                 "--T", "4"),
     "modes": ("modes", "--beta", "0.1", "--kmax", "4", *_GRIDS),
-    "observe_threads1": ("observe", "--beta", "0.01", "--T", "50", "--kmax", "4",
-                         "--mu", "1", *_GRIDS, "--threads", "1"),
-    "observe_threads2": ("observe", "--beta", "0.01", "--T", "50", "--kmax", "4",
-                         "--mu", "1", *_GRIDS, "--threads", "2"),
+    "observe": ("observe", "--beta", "0.01", "--T", "50", "--kmax", "4", "--mu", "1", *_GRIDS),
     "observe_empirical_mu": ("observe", "--beta", "0.05", "--T", "20", "--kmax", "4",
                              "--theta", "0.75", *_GRIDS),
     "observe_infeasible": ("observe", "--beta", "0.5", "--T", "50", "--kmax", "3",

@@ -185,7 +185,28 @@ class TestEnergyIntegral:
         monkeypatch.setattr(ingham, "exp_integral", lambda s, T: -T * np.ones_like(s))
         with pytest.raises(AuditFailure) as err:
             ingham.pairwise_exponential_energy([1.0, 1.0], [0.0, 0.0], 2.0)
-        assert err.value.datum[0] == -8.0
+        assert err.value.datum == (-8.0, 8.0)
+        # the Gram path: zero exponents take every entry from exp_integral
+        gram = ingham._real_signal_gram(np.zeros(2), np.zeros(2), 2.0)
+        with pytest.raises(AuditFailure) as err:
+            ingham._gram_energy(gram, np.zeros(2, dtype=complex), np.ones(2))
+        assert err.value.datum == (-8.0, 8.0)
+
+    def test_rounding_residue_clamped_to_zero(self):
+        import memwave.ingham as ingham
+
+        assert ingham._clamped_energy(-1e-12, lambda: 1.0) == 0.0
+        assert ingham._clamped_energy(3.0, lambda: pytest.fail("budget evaluated")) == 3.0
+
+    def test_gram_form_matches_pairwise(self):
+        import memwave.ingham as ingham
+
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            family, T = random_admissible_family(rng, n=12)
+            gram = ingham._real_signal_gram(family.omegas, family.rs, T)
+            exact = ingham._gram_energy(gram, family.Cs, family.Rs)
+            assert abs(exact - energy_integral(family, T)) <= 1e-12 * exact
 
     def test_against_quadrature(self):
         rng = np.random.default_rng(5)
@@ -227,6 +248,15 @@ class TestHorizonGuard:
         with pytest.raises(OutOfRange):
             energy_lower_bound(family, 1e-160, check=False)
 
+    @pytest.mark.parametrize("name", ["omegas", "rs", "Cs", "Rs"])
+    def test_non_finite_entries_rejected(self, name):
+        arrays = {"omegas": [3.0, 6.0], "rs": [-0.1, -0.2], "Cs": [0.5, 0.25],
+                  "Rs": [0.05, 0.02]}
+        for bad in (math.nan, math.inf):
+            arrays[name] = [arrays[name][0], bad]
+            with pytest.raises(InputError, match=f"^{name} must be finite"):
+                ExponentFamily(**arrays, gamma=3.0, tau=1)
+
     def test_gamma_must_be_positive(self):
         for gamma in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(InputError):
@@ -250,6 +280,13 @@ class TestConstantS:
     def test_theta_out_of_range(self):
         with pytest.raises(ThetaOutOfRange):
             constant_S(1.0, 0.5)
+
+    def test_load_overflow_rejected(self):
+        # the load 4*(4 + 3*S) overflows from mu ~ 9.1e306 on (S = mu*pi^2/6)
+        assert math.isfinite(4.0 * (4.0 + 3.0 * constant_S(9e306, 1.0)))
+        for mu in (1e307, 1e308, math.inf, math.nan):
+            with pytest.raises(OutOfRange, match="^mu="):
+                constant_S(mu, 1.0)
 
 
 class TestCheckHypotheses:

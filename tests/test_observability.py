@@ -1,13 +1,18 @@
 """Thresholds, the explicit constant c0, exact trace energies, and the verdict."""
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import fixed_quad, quad
 
+from conftest import pairwise_trace_energy
 from memwave import (
+    BETA_MAX,
     InitialData,
     KernelParams,
     NotPositiveWarning,
@@ -108,6 +113,13 @@ class TestThresholds:
     def test_out_of_range_beta(self):
         with pytest.raises(OutOfRange):
             thresholds(1.5, 1.0, 1.0)
+
+    def test_huge_mu_rejected(self):
+        # mu = 8e306 keeps the load 4*(4 + 3*S) finite, but T0 at beta = 0
+        # (a feasible beta) overflows; mu = 1e307 overflows the load itself
+        for mu in (8e306, 1e307):
+            with pytest.raises(OutOfRange, match="mu"):
+                thresholds(0.0, mu, 1.0)
 
 
 class TestObservabilityConstant:
@@ -222,13 +234,48 @@ class TestBoundaryTraceEnergy:
         approx = boundary_energy_quadrature(expansion, T)
         assert abs(exact - approx) <= 1e-7 * max(1.0, abs(approx))
 
-    def test_threaded_matches_serial(self):
+    @pytest.mark.parametrize("T", [5.0, 50.0])
+    @pytest.mark.parametrize("beta", [1e-6, 0.01, 1.0, BETA_MAX])
+    @pytest.mark.parametrize("kmax", [8, 32, 64])
+    def test_matches_pairwise_oracle_at_scale(self, kmax, beta, T):
+        rng = np.random.default_rng(kmax)
+        expansion = expand(KernelParams.limiting_regime(beta), random_data(rng, kmax))
+        oracle = pairwise_trace_energy(expansion, T)
+        assert abs(boundary_trace_energy(expansion, T) - oracle) <= 1e-12 * oracle
+
+    @settings(max_examples=40, deadline=None)
+    @given(kmax=st.integers(1, 16),
+           log_beta=st.floats(-8.0, math.log10(BETA_MAX)),
+           T=st.floats(0.5, 60.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_fuzz_small_beta_against_pairwise_oracle(self, kmax, log_beta, T, seed):
+        # as beta -> 0, Im omega -> 0 and r -> 0: the Gram entries of the
+        # |X|^2 diagonal and of the Y^2 block approach their cancellation limit
+        beta = min(10.0 ** log_beta, BETA_MAX)
+        data = random_data(np.random.default_rng(seed), kmax)
+        expansion = expand(KernelParams.limiting_regime(beta), data)
+        oracle = pairwise_trace_energy(expansion, T)
+        assert abs(boundary_trace_energy(expansion, T) - oracle) <= 1e-12 * oracle
+
+    def test_small_damping_diagonal_at_rounding_level(self):
+        # 2*Im(omega)*T is 1.5e-3 here, just above the Gram fallback cutoff of
+        # 1e-3: without taking the |X|^2 diagonal from exp_integral the
+        # relative error was about 6e-14
+        rng = np.random.default_rng(0)
+        expansion = expand(KernelParams.limiting_regime(3e-5), random_data(rng, 8))
+        oracle = pairwise_trace_energy(expansion, 50.0)
+        assert abs(boundary_trace_energy(expansion, 50.0) - oracle) <= 2e-15 * oracle
+
+    def test_rows_and_columns_with_different_exponents(self):
+        # a hand-built expansion whose omega is not symmetric: the columns
+        # need a Gram matrix of their own
         rng = np.random.default_rng(83)
-        data = random_data(rng, 6)
-        expansion = expand(KernelParams.limiting_regime(0.1), data)
-        serial = boundary_trace_energy(expansion, 5.0, threads=1)
-        threaded = boundary_trace_energy(expansion, 5.0, threads=4)
-        assert serial == threaded
+        expansion = expand(KernelParams.limiting_regime(0.1), random_data(rng, 6))
+        omega = expansion.omega.copy()
+        omega[0, 1] += 0.3
+        skewed = dataclasses.replace(expansion, omega=omega)
+        oracle = pairwise_trace_energy(skewed, 5.0)
+        assert abs(boundary_trace_energy(skewed, 5.0) - oracle) <= 1e-12 * oracle
 
     def test_additivity_on_disjoint_rows_and_columns(self):
         # supports {(1,1)} and {(2,2)} share no row and no column
