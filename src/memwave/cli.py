@@ -10,8 +10,8 @@ observe       full observability report as JSON
 thresholds    beta, gamma, S, T0 table as CSV
 
 Global flags --output and --config are accepted by every subcommand.  A
-config file is a flat `key = value` document (# comments); command-line flags
-override file values.  All numbers are emitted with 17 significant digits so
+config file is a flat `key = value` document (# comments) whose keys are flag
+names (not the subcommand); command-line flags override file values.  All numbers are emitted with 17 significant digits so
 repeated runs are byte-identical and values round-trip exactly.
 
 Exit status follows the error type: 0 on success, 2 for an `errors.InputError`
@@ -28,7 +28,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from functools import partialmethod
 from typing import Dict, Optional
 
@@ -47,19 +47,9 @@ from .modes import InitialData, expand
 from .observability import constant_S, thresholds, verify_observability, ObservabilityConfig
 from .spectrum import BETA_MAX, KernelParams, _vieta_residuals, mode_spectrum
 
-__all__ = ["RunConfig", "load_config", "parse_and_dispatch", "main"]
+__all__ = ["load_config", "parse_and_dispatch", "main"]
 
 _KMAX_LIMIT = 512
-
-
-@dataclass
-class RunConfig:
-    """A resolved run: subcommand plus its raw parameter map."""
-
-    subcommand: Optional[str] = None
-    parameters: Dict[str, str] = field(default_factory=dict)
-    output_path: Optional[str] = None
-    format: Optional[str] = None
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +137,8 @@ def _write_output(text: str, path: Optional[str]) -> None:
 # config file and flag merging
 
 
-def load_config(path: str) -> RunConfig:
-    """Parse a flat `key = value` config file into a RunConfig.
+def load_config(path: str) -> Dict[str, str]:
+    """Parse a flat `key = value` config file into its parameter map.
 
     Keys are case-insensitive with hyphens and underscores interchangeable.
     Raises ParseError with the line number for malformed lines and
@@ -174,13 +164,7 @@ def load_config(path: str) -> RunConfig:
         if key not in _KNOWN_KEYS:
             raise ValidationError(key, "unknown configuration key")
         parameters[key] = value
-    subcommand = parameters.pop("subcommand", None)
-    return RunConfig(
-        subcommand=subcommand,
-        parameters=parameters,
-        output_path=parameters.get("output"),
-        format=parameters.get("format"),
-    )
+    return parameters
 
 
 class _Resolver:
@@ -445,12 +429,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_keys(parser: argparse.ArgumentParser) -> frozenset:
-    """Config-file keys: the destinations of every flag of every subcommand."""
+    """Config-file keys: the destinations of every flag of every subcommand.
+
+    The subcommand itself is chosen on the command line only, so it is not a key.
+    """
     subparsers = next(action for action in parser._actions
                       if isinstance(action, argparse._SubParsersAction))
     dests = {action.dest for p in (parser, *subparsers.choices.values())
              for action in p._actions}
-    return frozenset(dests - {"config", "help"})
+    return frozenset(dests - {"config", "help", "subcommand"})
 
 
 _KNOWN_KEYS = _config_keys(_build_parser())
@@ -470,7 +457,7 @@ def parse_and_dispatch(argv) -> int:
     try:
         file_params: Dict[str, str] = {}
         if args.config:
-            file_params = dict(load_config(args.config).parameters)
+            file_params = load_config(args.config)
         res = _Resolver(args, file_params)
         output = res.get_str("output")
 

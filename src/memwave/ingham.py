@@ -216,23 +216,26 @@ def exp_integral(s, T: float):
     """Exact primitive integral_0^T e^{s*t} dt = (e^{s*T} - 1)/s, with E(0) = T.
 
     Switches to a 6-term Taylor series for |s|*T < 1e-6 to avoid cancellation.
-    Accepts scalars or arrays of complex s.
+    Accepts scalars or arrays of s; real s gives a real result.
     """
-    s_arr = np.asarray(s, dtype=complex)
+    s_arr = np.asarray(s, dtype=complex if np.iscomplexobj(s) else float)
     flat = s_arr.reshape(-1)
     x = flat * T
-    out = np.empty(flat.shape, dtype=complex)
+    out = np.empty(flat.shape, dtype=flat.dtype)
     small = np.abs(x) < _SERIES_CUTOFF
     if np.any(~small):
         sb = flat[~small]
         out[~small] = np.expm1(sb * T) / sb
     if np.any(small):
+        # products, not x**n: real x**3 and up would each call pow()
         xs = x[small]
+        x2 = xs * xs
+        x4 = x2 * x2
         out[small] = T * (
-            1.0 + xs / 2.0 + xs**2 / 6.0 + xs**3 / 24.0 + xs**4 / 120.0 + xs**5 / 720.0
+            1.0 + xs / 2.0 + x2 / 6.0 + xs * x2 / 24.0 + x4 / 120.0 + xs * x4 / 720.0
         )
     out = out.reshape(s_arr.shape)
-    return complex(out) if out.ndim == 0 else out
+    return out.item() if out.ndim == 0 else out
 
 
 def _clamped_energy(total: float, budget) -> float:
@@ -286,8 +289,7 @@ def _gram_block(p, u, q, v, T: float) -> np.ndarray:
     block = np.multiply.outer(u, v) - 1.0
     np.divide(block, s, out=block, where=~small)
     if small.any():
-        fallback = exp_integral(s[small], T)
-        block[small] = fallback if np.iscomplexobj(block) else fallback.real
+        block[small] = exp_integral(s[small], T)
     return block
 
 
@@ -307,8 +309,9 @@ def _real_signal_gram(omegas, rs, T: float) -> tuple:
     u, v = np.exp(p * T), np.exp(r * T)
     hermitian = _gram_block(p, u, p.conj(), u.conj(), T)
     # The diagonal carries the |C_a|^2 terms that dominate the energy, and
-    # |u_a|^2 - 1 cancels when Im omega_a*T is small: take it from exp_integral.
-    np.fill_diagonal(hermitian, exp_integral(2.0 * p.real, T))
+    # |u_a|^2 - 1 cancels when Im omega_a*T is small: take it from exp_integral,
+    # on complex input (its real path rounds some entries differently).
+    np.fill_diagonal(hermitian, exp_integral(p + p.conj(), T))
     return (_gram_block(p, u, p, u, T), hermitian,
             _gram_block(p, u, r, v, T), _gram_block(r, v, r, v, T))
 

@@ -141,89 +141,73 @@ def sine_coefficients(values, kmax: int) -> np.ndarray:
     return np.ascontiguousarray(coeffs[:kmax, :kmax])
 
 
-def _reality_tolerance(a: float, b: float) -> float:
-    return 1e-10 * max(1.0, abs(a), abs(b))
+def _solve_coefficients(z1, z2, z3, a, b, lam):
+    """Core of the coefficient solves: one 3x3 system per mode, batched.
 
-
-def solve_mode_coefficients(
-    a: float, b: float, triple: SpectralTriple, lam: float
-) -> ModeCoefficients:
-    """Recover (C, R) of one mode from x(0) = a, x'(0) = b, x''(0) = -lam*a.
-
-    Solves the 3x3 system in the exponents {i*omega, -i*conj(omega), r};
-    rejects exponent collisions (DegenerateExponents) and non-conjugate
+    The exponents z = {i*omega, -i*conj(omega), r}, data (a, b) and lam share
+    one shape, a (kmax, kmax) grid or a scalar; (C, R) come back in it.
+    Rejects exponent collisions (DegenerateExponents) and non-conjugate
     solutions (RealityViolation).
     """
-    z = np.array(triple.roots(), dtype=complex)
-    gaps = [abs(z[0] - z[1]), abs(z[0] - z[2]), abs(z[1] - z[2])]
-    if min(gaps) <= _DEGENERATE_TOL:
-        raise DegenerateExponents(f"exponents too close: {z} (min gap {min(gaps)})")
-    matrix = np.vstack([np.ones(3, dtype=complex), z, z * z])
-    rhs = np.array([a, b, -lam * a], dtype=complex)
-    c = np.linalg.solve(matrix, rhs)
-    tol = _reality_tolerance(a, b)
-    if abs(c[1] - c[0].conjugate()) > tol or abs(c[2].imag) > tol:
-        raise RealityViolation(
-            f"solution not conjugate-consistent: c={c} (tolerance {tol})"
-        )
-    return ModeCoefficients(C=complex(c[0]), R=float(c[2].real))
+    shape = np.shape(a)
+    z1, z2, z3, a, b, lam = (np.reshape(x, -1) for x in (z1, z2, z3, a, b, lam))
 
+    def at_mode(flat: int) -> str:
+        if not shape:
+            return ""
+        k1, k2 = np.unravel_index(flat, shape)
+        return f" at mode ({k1 + 1}, {k2 + 1})"
 
-def expand(params: KernelParams, data: InitialData, kmax: Optional[int] = None) -> ModeExpansion:
-    """Recover coefficients of every mode k1, k2 <= kmax (batched 3x3 solves)."""
-    if kmax is None:
-        kmax = data.kmax
-    if kmax < 1 or kmax > data.kmax:
-        raise InputError(f"kmax must lie in [1, {data.kmax}], got {kmax}")
-    lam, omega, r = mode_spectrum(params, kmax)
-    a = data.a[:kmax, :kmax]
-    b = data.b[:kmax, :kmax]
-
-    z1 = (1j * omega).reshape(-1)
-    z2 = (-1j * omega.conj()).reshape(-1)
-    z3 = r.reshape(-1).astype(complex)
     min_gap = np.minimum(
         np.abs(z1 - z2), np.minimum(np.abs(z1 - z3), np.abs(z2 - z3))
     )
     if np.any(min_gap <= _DEGENERATE_TOL):
         worst = int(np.argmin(min_gap))
-        k1, k2 = divmod(worst, kmax)
         raise DegenerateExponents(
-            f"exponents too close at mode ({k1 + 1}, {k2 + 1}): min gap {min_gap[worst]}"
+            f"exponents too close{at_mode(worst)}: min gap {min_gap[worst]}"
         )
 
-    n = kmax * kmax
-    matrices = np.empty((n, 3, 3), dtype=complex)
+    matrices = np.empty((len(a), 3, 3), dtype=complex)
     matrices[:, 0, :] = 1.0
     matrices[:, 1, 0], matrices[:, 1, 1], matrices[:, 1, 2] = z1, z2, z3
     matrices[:, 2, 0], matrices[:, 2, 1], matrices[:, 2, 2] = z1 * z1, z2 * z2, z3 * z3
-    rhs = np.stack(
-        [a.reshape(-1), b.reshape(-1), -lam.reshape(-1) * a.reshape(-1)], axis=1
-    ).astype(complex)
+    rhs = np.stack([a, b, -lam * a], axis=1).astype(complex)
     coeffs = np.linalg.solve(matrices, rhs[:, :, None])[:, :, 0]
 
-    tol = 1e-10 * np.maximum(
-        1.0, np.maximum(np.abs(a.reshape(-1)), np.abs(b.reshape(-1)))
-    )
+    tol = 1e-10 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
     conj_defect = np.abs(coeffs[:, 1] - coeffs[:, 0].conj())
     imag_defect = np.abs(coeffs[:, 2].imag)
     bad = (conj_defect > tol) | (imag_defect > tol)
     if np.any(bad):
         worst = int(np.argmax(np.maximum(conj_defect, imag_defect) / tol))
-        k1, k2 = divmod(worst, kmax)
         raise RealityViolation(
-            f"solution not conjugate-consistent at mode ({k1 + 1}, {k2 + 1}): "
+            f"solution not conjugate-consistent{at_mode(worst)}: "
             f"conjugacy defect {conj_defect[worst]}, imaginary defect {imag_defect[worst]}"
         )
-    return ModeExpansion(
-        params=params,
-        kmax=kmax,
-        lam=lam,
-        omega=omega,
-        r=r,
-        C=coeffs[:, 0].reshape(kmax, kmax),
-        R=coeffs[:, 2].real.reshape(kmax, kmax),
-    )
+    return coeffs[:, 0].reshape(shape), coeffs[:, 2].real.reshape(shape)
+
+
+def solve_mode_coefficients(
+    a: float, b: float, triple: SpectralTriple, lam: float
+) -> ModeCoefficients:
+    """Recover (C, R) of one mode from x(0) = a, x'(0) = b, x''(0) = -lam*a:
+    a scalar view of `_solve_coefficients`, the core of `expand`."""
+    C, R = _solve_coefficients(*triple.roots(), a, b, lam)
+    return ModeCoefficients(C=complex(C), R=float(R))
+
+
+def expand(params: KernelParams, data: InitialData, kmax: Optional[int] = None) -> ModeExpansion:
+    """Recover coefficients of every mode k1, k2 <= kmax: `mode_spectrum`, then
+    the batched 3x3 solves of `_solve_coefficients` (also behind
+    `solve_mode_coefficients`)."""
+    if kmax is None:
+        kmax = data.kmax
+    if kmax < 1 or kmax > data.kmax:
+        raise InputError(f"kmax must lie in [1, {data.kmax}], got {kmax}")
+    lam, omega, r = mode_spectrum(params, kmax)
+    C, R = _solve_coefficients(1j * omega, -1j * omega.conj(), r.astype(complex),
+                               data.a[:kmax, :kmax], data.b[:kmax, :kmax], lam)
+    return ModeExpansion(params=params, kmax=kmax, lam=lam, omega=omega, r=r, C=C, R=R)
 
 
 def _mode_amplitudes(expansion: ModeExpansion, t: float) -> np.ndarray:

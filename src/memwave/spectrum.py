@@ -148,28 +148,35 @@ def phi_psi_limiting(beta: float, lam: float):
     return phi, psi
 
 
-def characteristic_roots(params: KernelParams, lam: float) -> SpectralTriple:
-    """Closed-form spectral triple of one mode.
+def _closed_form_roots(params: KernelParams, lam):
+    """Elementwise core of the closed-form roots at scalar or array lam:
+    (omega, r, phi, psi, lam_minus, lam_plus), each shaped like lam.
 
-    Real cube roots are taken with np.cbrt (sign-safe near phi = psi); inputs
-    with phi < psi are rejected with ComplexRegime rather than switching to a
-    complex branch.
+    Real cube roots are taken with np.cbrt (sign-safe near phi = psi); phi < psi
+    is rejected with ComplexRegime rather than switching to a complex branch.
     """
     phi, psi = phi_psi(params, lam)
-    if phi < psi:
-        raise ComplexRegime(
-            f"phi={phi} < psi={psi} at lam={lam}: roots leave the real-cube-root configuration"
-        )
-    lam_minus = 0.5 * float(np.cbrt(phi - psi))
-    lam_plus = 0.5 * float(np.cbrt(phi + psi))
-    sq = math.sqrt(lam)
+    if np.any(phi < psi):
+        worst = np.unravel_index(int(np.argmax(psi - phi)), np.shape(lam))
+        raise ComplexRegime(f"phi < psi at lam={np.asarray(lam)[worst]}: "
+                            "roots leave the real-cube-root configuration")
+    lam_minus = 0.5 * np.cbrt(phi - psi)
+    lam_plus = 0.5 * np.cbrt(phi + psi)
+    sq = np.sqrt(lam)
     diff = lam_minus - lam_plus
-    re = sq * (lam_minus + lam_plus)
-    im = sq * diff / SQRT3 + params.eta / 3.0
+    omega = sq * (lam_minus + lam_plus) + 1j * (sq * diff / SQRT3 + params.eta / 3.0)
     r = 2.0 * sq * diff / SQRT3 - params.eta / 3.0
+    return omega, r, phi, psi, lam_minus, lam_plus
+
+
+def characteristic_roots(params: KernelParams, lam: float) -> SpectralTriple:
+    """Closed-form spectral triple of one mode: a scalar view of
+    `_closed_form_roots`, the core of `mode_spectrum`, so it matches the
+    lattice bit for bit (and also accepts a lam off the lattice)."""
+    omega, r, phi, psi, lam_minus, lam_plus = _closed_form_roots(params, lam)
     return SpectralTriple(
-        omega=complex(re, im), r=r, phi=phi, psi=psi,
-        lam_minus=lam_minus, lam_plus=lam_plus,
+        omega=complex(omega), r=float(r), phi=float(phi), psi=float(psi),
+        lam_minus=float(lam_minus), lam_plus=float(lam_plus),
     )
 
 
@@ -213,20 +220,13 @@ def _vieta_residuals(z1, z2, z3, params: KernelParams, lam):
 def mode_spectrum(params: KernelParams, kmax: int):
     """Vectorized closed-form spectrum of all modes with k1, k2 <= kmax.
 
-    Returns (lam, omega, r) as (kmax, kmax) arrays indexed [k1-1, k2-1].
+    Returns (lam, omega, r) as (kmax, kmax) arrays indexed [k1-1, k2-1], from
+    `_closed_form_roots` (also behind `characteristic_roots`).  lam is symmetric
+    and the core elementwise, so omega and r are exactly symmetric in (k1, k2).
     """
     if kmax < 1:
         raise InputError("kmax must be >= 1")
     k = np.arange(1, kmax + 1, dtype=float)
     lam = k[:, None] ** 2 + k[None, :] ** 2
-    phi, psi = phi_psi(params, lam)
-    if np.any(phi < psi):
-        k1, k2 = np.unravel_index(int(np.argmax(psi - phi)), lam.shape)
-        raise ComplexRegime(f"phi < psi at mode ({k1 + 1}, {k2 + 1})")
-    lam_minus = 0.5 * np.cbrt(phi - psi)
-    lam_plus = 0.5 * np.cbrt(phi + psi)
-    sq = np.sqrt(lam)
-    diff = lam_minus - lam_plus
-    omega = sq * (lam_minus + lam_plus) + 1j * (sq * diff / SQRT3 + params.eta / 3.0)
-    r = 2.0 * sq * diff / SQRT3 - params.eta / 3.0
+    omega, r = _closed_form_roots(params, lam)[:2]
     return lam, omega, r

@@ -11,7 +11,7 @@ import math
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from memwave import ExponentFamily, pairwise_exponential_energy
+from memwave import ExponentFamily, characteristic_roots_numeric, pairwise_exponential_energy
 
 
 def random_admissible_family(rng, n=None, T=None, real_frequencies=False,
@@ -72,6 +72,47 @@ def pairwise_trace_energy(expansion, T):
     parts = [side(e.C[i, :], e.R[i, :], e.omega[i, :], e.r[i, :]) for i in range(e.kmax)]
     parts += [side(e.C[:, i], e.R[:, i], e.omega[:, i], e.r[:, i]) for i in range(e.kmax)]
     return math.pi / 2.0 * math.fsum(parts)
+
+
+def lagrange_coefficients(params, lam, a, b):
+    """Oracle of the per-mode coefficient solve, sharing no code with `modes`.
+
+    With companion-matrix roots (z1, z2, z3) and x(0) = a, x'(0) = b,
+    x''(0) = -lam*a, the Lagrange form of the Vandermonde inverse gives
+
+        c_j = (x''(0) - (z_k + z_l) x'(0) + z_k z_l x(0)) / ((z_j - z_k)(z_j - z_l)).
+
+    Returns (C, R) = (c_1, Re c_3).
+    """
+    z = characteristic_roots_numeric(params, lam)
+    x0, x1, x2 = a, b, -lam * a
+
+    def c(j):
+        zj, zk, zl = z[j], z[(j + 1) % 3], z[(j + 2) % 3]
+        return (x2 - (zk + zl) * x1 + zk * zl * x0) / ((zj - zk) * (zj - zl))
+
+    return c(0), c(2).real
+
+
+def brute_force_gap_ratios(re):
+    """Oracle of the gap audit's ratios, scanning rows and columns separately.
+
+    Returns (min_ratio_k2, min_ratio_k1): the least |Re omega difference| /
+    |index difference| over pairs (k2, k2') in each row k1 with
+    max(k2, k2') >= k1, and over pairs (k1, k1') in each column k2 with
+    max(k1, k1') >= k2.  Every (fixed index, pair) triple is formed at once.
+    """
+    kmax = re.shape[0]
+    k = np.arange(1, kmax + 1)
+    fixed, i, j = np.meshgrid(k, k, k, indexing="ij")
+    admissible = (i != j) & (np.maximum(i, j) >= fixed)
+    den = np.abs(i - j).astype(float)
+
+    def scan(rows):
+        num = np.abs(rows[:, :, None] - rows[:, None, :])
+        return float(np.min(num[admissible] / den[admissible]))
+
+    return scan(re), scan(re.T)
 
 
 def quad_energy(family, T, epsabs=1e-11):

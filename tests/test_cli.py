@@ -404,10 +404,19 @@ class TestConfigFile:
         from memwave.cli import _KNOWN_KEYS
 
         assert _KNOWN_KEYS == {
-            "subcommand", "beta", "eta", "kmax", "format", "steps", "gamma_table",
+            "beta", "eta", "kmax", "format", "steps", "gamma_table",
             "family", "t", "u0", "u1", "emit", "mu", "theta", "report", "beta_steps",
             "output",
         }
+
+    def test_subcommand_key_rejected(self, tmp_path, capsys):
+        # the subcommand comes from the command line; a file cannot switch it
+        conf = tmp_path / "switch.conf"
+        conf.write_text("subcommand = thresholds\nbeta = 0.2\nkmax = 4\n")
+        status, out, err = run(["gaps", "--config", str(conf)], capsys)
+        assert status == 2
+        assert out == ""
+        assert "subcommand" in err
 
     def test_comments_and_hyphens(self, tmp_path, capsys):
         conf = tmp_path / "ok.conf"

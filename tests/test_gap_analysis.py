@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import memwave.gap_analysis as ga
+from conftest import brute_force_gap_ratios
 from memwave import (
     AuditFailure,
     BETA_MAX,
@@ -20,6 +21,7 @@ from memwave import (
     freq_scale,
     freq_scale_parts,
     gap_constant,
+    mode_spectrum,
     phi_psi,
     sqrt_gap_bound,
     verify_scale_decreasing,
@@ -207,6 +209,27 @@ class TestAuditGaps:
         with pytest.raises(AuditFailure) as err:
             ga.audit_gaps(KernelParams.limiting_regime(0.0), 8)
         assert err.value.datum is not None
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 0.7, 1.0, BETA_MAX])
+    def test_ratios_match_brute_force_scan(self, beta):
+        params = KernelParams.limiting_regime(beta)
+        _, omega, _ = mode_spectrum(params, 64)
+        audit = audit_gaps(params, 64)
+        assert (audit.min_ratio_k2, audit.min_ratio_k1) == brute_force_gap_ratios(omega.real)
+
+    def test_asymmetric_spectrum_is_audit_failure(self, monkeypatch):
+        # the single row scan stands for the column scan only while Re omega
+        # is symmetric in (k1, k2)
+        def skewed(params, kmax):
+            lam, omega, r = mode_spectrum(params, kmax)
+            omega = omega.copy()
+            omega[2, 0] += 1e-9
+            return lam, omega, r
+
+        monkeypatch.setattr(ga, "mode_spectrum", skewed)
+        with pytest.raises(AuditFailure) as err:
+            ga.audit_gaps(KernelParams.limiting_regime(0.3), 8)
+        assert err.value.datum in ((1, 3), (3, 1))
 
 
 class TestScaleMonotonicity:

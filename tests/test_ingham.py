@@ -148,6 +148,15 @@ class TestExpIntegral:
         s, T = 0.3 - 1.2j, 2.5
         assert abs(exp_integral(s, T) - (np.exp(s * T) - 1.0) / s) < 1e-14
 
+    def test_kind_follows_input(self):
+        assert isinstance(exp_integral(-0.5, 2.0), float)
+        assert isinstance(exp_integral(-0.5 + 0j, 2.0), complex)
+        s = np.array([0.0, -1e-9, -0.5, -3.0])
+        real = exp_integral(s, 2.0)
+        assert real.dtype == np.float64
+        assert np.allclose(real, exp_integral(s.astype(complex), 2.0).real,
+                           rtol=1e-15, atol=0.0)
+
     def test_series_branch_continuity(self):
         # compare both branches across the switch at |s|T = 1e-6
         T = 1.0

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import mode_ode_oracle, sine_polynomial_on_grid
+from conftest import lagrange_coefficients, mode_ode_oracle, sine_polynomial_on_grid
 from memwave import (
+    BETA_MAX,
     DegenerateExponents,
     DegenerateMode,
     GridTooCoarse,
@@ -125,20 +126,22 @@ class TestSolveModeCoefficients:
 
 
 class TestExpand:
-    def test_matches_scalar_solver(self):
+    @pytest.mark.parametrize("beta", [0.0, 1e-6, 0.4, BETA_MAX])
+    def test_matches_lagrange_oracle(self, beta):
         rng = np.random.default_rng(37)
-        kmax = 5
+        kmax = 64
         data = InitialData(a=rng.normal(size=(kmax, kmax)),
                            b=rng.normal(size=(kmax, kmax)), kmax=kmax)
-        params = KernelParams.limiting_regime(0.4)
+        params = KernelParams.limiting_regime(beta)
         expansion = expand(params, data)
-        for k1, k2 in ((1, 1), (3, 2), (5, 5)):
-            lam = laplace_eigenvalue(k1, k2)
-            triple = characteristic_roots(params, lam)
-            mc = solve_mode_coefficients(data.a[k1 - 1, k2 - 1],
-                                         data.b[k1 - 1, k2 - 1], triple, lam)
-            assert abs(expansion.C[k1 - 1, k2 - 1] - mc.C) < 1e-12
-            assert abs(expansion.R[k1 - 1, k2 - 1] - mc.R) < 1e-12
+        for k1 in range(1, kmax + 1):
+            for k2 in range(1, kmax + 1):
+                i, j = k1 - 1, k2 - 1
+                C, R = lagrange_coefficients(params, laplace_eigenvalue(k1, k2),
+                                             data.a[i, j], data.b[i, j])
+                scale = abs(C) + abs(R)
+                assert abs(expansion.C[i, j] - C) <= 1e-10 * scale
+                assert abs(expansion.R[i, j] - R) <= 1e-10 * scale
 
     def test_truncation(self):
         rng = np.random.default_rng(41)

@@ -235,7 +235,7 @@ class TestBoundaryTraceEnergy:
         assert abs(exact - approx) <= 1e-7 * max(1.0, abs(approx))
 
     @pytest.mark.parametrize("T", [5.0, 50.0])
-    @pytest.mark.parametrize("beta", [1e-6, 0.01, 1.0, BETA_MAX])
+    @pytest.mark.parametrize("beta", [0.0, 1e-6, 0.01, 1.0, BETA_MAX])
     @pytest.mark.parametrize("kmax", [8, 32, 64])
     def test_matches_pairwise_oracle_at_scale(self, kmax, beta, T):
         rng = np.random.default_rng(kmax)

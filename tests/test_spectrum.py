@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from memwave import (
+    BETA_MAX,
     ComplexRegime,
     KernelParams,
     NegativeRadicand,
@@ -222,3 +223,17 @@ class TestModeSpectrumGrid:
                 assert lam[k1 - 1, k2 - 1] == laplace_eigenvalue(k1, k2)
                 assert abs(omega[k1 - 1, k2 - 1] - triple.omega) < 1e-14
                 assert abs(r[k1 - 1, k2 - 1] - triple.r) < 1e-14
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-6, 0.4, BETA_MAX])
+    def test_scalar_roots_are_a_view_of_the_lattice(self, beta):
+        params = KernelParams.limiting_regime(beta)
+        lam, omega, r = mode_spectrum(params, 24)
+        for k1 in range(1, 25):
+            for k2 in range(1, 25):
+                triple = characteristic_roots(params, laplace_eigenvalue(k1, k2))
+                assert triple.omega == omega[k1 - 1, k2 - 1]
+                assert triple.r == r[k1 - 1, k2 - 1]
+        # lam = 3 lies off the lattice k1^2 + k2^2
+        closed = characteristic_roots(params, 3.0).roots()
+        numeric = characteristic_roots_numeric(params, 3.0)
+        assert paired_root_error(closed, numeric) < 1e-12
