@@ -9,10 +9,15 @@ modes         recover per-mode coefficients from sampled initial data
 observe       full observability report as JSON
 thresholds    beta, gamma, S, T0 table as CSV
 
-Global flags --output and --config are accepted by every subcommand.  A
-config file is a flat `key = value` document (# comments) whose keys are flag
-names (not the subcommand); command-line flags override file values.  All numbers are emitted with 17 significant digits so
-repeated runs are byte-identical and values round-trip exactly.
+Every subcommand writes to --output (stdout when absent) and reads --config, a
+flat `key = value` file (# comments) whose keys are flag names (not the
+subcommand); command-line flags override file values.
+
+An output is a flat JSON report (gaps, observe, ingham-check) or a table of
+numbers.  Every number is spelled `"%.17g" % v`: integers in full, floats
+round-trip exact, repeated runs byte-identical.  Non-finite numbers are
+NaN/Infinity/-Infinity in JSON and nan/inf/-inf in CSV.  A report float must be
+finite, except T0 = Infinity when infeasible; otherwise the run exits 1.
 
 Exit status follows the error type: 0 on success, 2 for an `errors.InputError`
 (bad input; one-line diagnostic on stderr), 1 for an `errors.CertificationFailure`
@@ -30,7 +35,8 @@ import math
 import sys
 from dataclasses import asdict
 from functools import partialmethod
-from typing import Dict, Optional
+from itertools import tee
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -53,61 +59,65 @@ _KMAX_LIMIT = 512
 
 
 # ---------------------------------------------------------------------------
-# deterministic serialization
+# deterministic serialization: one spelling rule, one row template per table
+
+#: The spelling of every number, 17 significant digits: integers below 2**53 in
+#: full, floats round-trip exact; the non-finite are nan, inf and -inf.
+_digits = "%.17g".__mod__
+
+#: JSON names of the non-finite numbers; CSV keeps the spelling of `_digits`.
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def format_float(x: float) -> str:
-    """Decimal form with 17 significant digits (round-trip exact for binary64)."""
-    x = float(x)
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
+def format_float(x) -> str:
+    """A number as JSON spells it: `_digits`, but NaN, Infinity and -Infinity."""
+    text = _digits(x)
+    return _JSON_NON_FINITE.get(text, text)
 
 
-def _json_scalar(value) -> str:
+def _json_cells(column):
+    """`format_float` over a column, lazily: each text is looked up by itself as key
+    and default, so only the non-finite are renamed."""
+    keys, texts = tee(map(_digits, column))
+    return map(_JSON_NON_FINITE.get, keys, texts)
+
+
+def _record(names, indent: str) -> str:
+    """Template of one JSON record at `indent`: a `"name": %s` line per name."""
+    lines = ",\n".join(f"{indent}  {json.dumps(name)}: %s" for name in names)
+    return f"{indent}{{\n{lines}\n{indent}}}"
+
+
+def _report_value(value) -> str:
+    """A report cell: a number, or by name a bool, a string or a list of strings."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(value)
     if isinstance(value, str):
         return json.dumps(value)
-    if value is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(value)!r}")
+    if isinstance(value, list):
+        items = ",\n".join(f"    {json.dumps(item)}" for item in value)
+        return f"[\n{items}\n  ]" if value else "[]"
+    return format_float(value)
 
 
-def json_dumps(obj, indent: int = 0) -> str:
-    """Minimal deterministic JSON writer (insertion order, 17-digit floats)."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f"{inner}{json.dumps(str(k))}: {json_dumps(v, indent + 1)}"
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not len(obj):
-            return "[]"
-        items = [f"{inner}{json_dumps(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    return _json_scalar(obj)
+def json_dumps(fields: Dict[str, object], table: bool = False) -> str:
+    """The writer of every JSON output, in key order, through one record template.
+
+    A report maps each name to one value; a table maps each name to a column
+    of numbers and is written as an array with one record per row, whose cells
+    are spelled lazily, one map per column.
+    """
+    if not table:
+        return _record(fields, "") % tuple(map(_report_value, fields.values())) + "\n"
+    records = map(_record(fields, "  ").__mod__, zip(*map(_json_cells, fields.values())))
+    return "[\n" + ",\n".join(records) + "\n]\n"
 
 
-def _csv_num(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
-
-
-def _csv_table(header: str, rows) -> str:
-    lines = [header]
-    lines.extend(",".join(_csv_num(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv(columns: Dict[str, Sequence]) -> str:
+    """CSV table: a header of the column names, then one templated line per row."""
+    template = ",".join(["%s"] * len(columns)) + "\n"
+    rows = zip(*(map(_digits, column) for column in columns.values()))
+    return ",".join(columns) + "\n" + "".join(map(template.__mod__, rows))
 
 
 def _mode_table(columns: Dict[str, np.ndarray], fmt: str) -> str:
@@ -118,11 +128,19 @@ def _mode_table(columns: Dict[str, np.ndarray], fmt: str) -> str:
     """
     kmax = len(next(iter(columns.values())))
     k1, k2 = np.indices((kmax, kmax)) + 1
-    names = ["k1", "k2", *columns]
-    rows = zip(*(a.ravel().tolist() for a in (k1, k2, *columns.values())))
-    if fmt == "csv":
-        return _csv_table(",".join(names), rows)
-    return json_dumps([dict(zip(names, row)) for row in rows]) + "\n"
+    table = {name: a.ravel().tolist() for name, a in {"k1": k1, "k2": k2, **columns}.items()}
+    return _csv(table) if fmt == "csv" else json_dumps(table, table=True)
+
+
+def _write_report(payload: Dict[str, object], path: Optional[str]) -> None:
+    """Write a report whose floats are all finite, but T0 = Infinity when infeasible;
+    otherwise raise AuditFailure naming the first key that breaks this."""
+    for name, value in payload.items():
+        allowed = name == "T0" and value == math.inf and payload.get("infeasible") is True
+        if isinstance(value, float) and not math.isfinite(value) and not allowed:
+            raise AuditFailure(f"report value {name}={value} is not finite",
+                               datum=(name, value))
+    _write_output(json_dumps(payload), path)
 
 
 def _write_output(text: str, path: Optional[str]) -> None:
@@ -270,14 +288,14 @@ def _run_spectrum(res: _Resolver, output: Optional[str]) -> None:
 def _run_gaps(res: _Resolver, output: Optional[str]) -> None:
     if res.get_flag("gamma_table"):
         steps = res.get_int("steps", required=True, minimum=1)
-        betas = np.linspace(0.0, BETA_MAX, steps + 1)
-        rows = [(b, gap_constant(float(b)).gamma) for b in betas]
-        _write_output(_csv_table("beta,gamma", rows), output)
+        betas = np.linspace(0.0, BETA_MAX, steps + 1).tolist()
+        _write_output(_csv({"beta": betas, "gamma": [gap_constant(b).gamma for b in betas]}),
+                      output)
         return
     beta = res.get_float("beta", required=True, minimum=0.0, maximum=BETA_MAX)
     kmax = res.get_int("kmax", required=True, minimum=2, maximum=_KMAX_LIMIT)
     audit = audit_gaps(KernelParams.limiting_regime(beta), kmax)
-    _write_output(json_dumps(asdict(audit)) + "\n", output)
+    _write_report(asdict(audit), output)
 
 
 def _load_family(path: str) -> ExponentFamily:
@@ -318,8 +336,7 @@ def _run_ingham_check(res: _Resolver, output: Optional[str]) -> None:
     family = _load_family(family_path)
     violations = check_hypotheses(family, horizon)
     report = energy_lower_bound(family, horizon, check=False)
-    payload = {**asdict(report), "violations": [str(v) for v in violations]}
-    _write_output(json_dumps(payload) + "\n", output)
+    _write_report({**asdict(report), "violations": [str(v) for v in violations]}, output)
     if not violations and report.margin < -1e-9 * (1.0 + abs(report.rhs)):
         raise AuditFailure(
             f"energy lower bound failed: lhs={report.lhs} < rhs={report.rhs}",
@@ -330,12 +347,11 @@ def _run_ingham_check(res: _Resolver, output: Optional[str]) -> None:
 def _run_modes(res: _Resolver, output: Optional[str]) -> None:
     beta = res.get_float("beta", required=True, minimum=0.0, maximum=BETA_MAX)
     kmax = res.get_int("kmax", required=True, minimum=1, maximum=_KMAX_LIMIT)
-    emit = res.get_str("emit") or output
     expansion = expand(KernelParams.limiting_regime(beta), _load_initial_data(res, kmax))
     columns = {"C_re": expansion.C.real, "C_im": expansion.C.imag, "R": expansion.R,
                "re_omega": expansion.omega.real, "im_omega": expansion.omega.imag,
                "r": expansion.r}
-    _write_output(_mode_table(columns, "json"), emit)
+    _write_output(_mode_table(columns, "json"), output)
 
 
 def _run_observe(res: _Resolver, output: Optional[str]) -> None:
@@ -344,11 +360,10 @@ def _run_observe(res: _Resolver, output: Optional[str]) -> None:
     kmax = res.get_int("kmax", required=True, minimum=1, maximum=_KMAX_LIMIT)
     mu = res.get_float("mu", exclusive_min=0.0)
     theta = res.get_float("theta", default=1.0, exclusive_min=0.5)
-    report_path = res.get_str("report") or output
     data = _load_initial_data(res, kmax)
     config = ObservabilityConfig(beta=beta, T=horizon, kmax=kmax, mu=mu, theta=theta)
     report = verify_observability(config, data)
-    _write_output(json_dumps(asdict(report)) + "\n", report_path)
+    _write_report(asdict(report), output)
 
 
 def _run_thresholds(res: _Resolver, output: Optional[str]) -> None:
@@ -356,12 +371,11 @@ def _run_thresholds(res: _Resolver, output: Optional[str]) -> None:
     theta = res.get_float("theta", default=1.0, exclusive_min=0.5)
     steps = res.get_int("beta_steps", required=True, minimum=1)
     S = constant_S(mu, theta)
-    betas = np.linspace(0.0, BETA_MAX, steps + 1)
-    rows = []
-    for b in betas:
-        beta0, t0 = thresholds(float(b), mu, theta)
-        rows.append((float(b), gap_constant(float(b)).gamma, S, t0, beta0))
-    _write_output(_csv_table("beta,gamma,S,T0,beta0_global", rows), output)
+    betas = np.linspace(0.0, BETA_MAX, steps + 1).tolist()
+    beta0, t0 = zip(*(thresholds(b, mu, theta) for b in betas))
+    columns = {"beta": betas, "gamma": [gap_constant(b).gamma for b in betas],
+               "S": [S] * len(betas), "T0": t0, "beta0_global": beta0}
+    _write_output(_csv(columns), output)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", default=None)
     p.add_argument("--u0", default=None)
     p.add_argument("--u1", default=None)
-    p.add_argument("--emit", default=None)
 
     p = sub.add_parser("observe", parents=[common],
                        help="boundary observability report")
@@ -417,7 +430,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", default=None)
     p.add_argument("--u0", default=None)
     p.add_argument("--u1", default=None)
-    p.add_argument("--report", default=None)
 
     p = sub.add_parser("thresholds", parents=[common],
                        help="beta,gamma,S,T0 table")
@@ -441,6 +453,8 @@ def _config_keys(parser: argparse.ArgumentParser) -> frozenset:
 
 
 _KNOWN_KEYS = _config_keys(_build_parser())
+_RUNNERS = {"spectrum": _run_spectrum, "gaps": _run_gaps, "ingham-check": _run_ingham_check,
+            "modes": _run_modes, "observe": _run_observe, "thresholds": _run_thresholds}
 
 
 def parse_and_dispatch(argv) -> int:
@@ -455,26 +469,10 @@ def parse_and_dispatch(argv) -> int:
         return 2
 
     try:
-        file_params: Dict[str, str] = {}
-        if args.config:
-            file_params = load_config(args.config)
-        res = _Resolver(args, file_params)
+        res = _Resolver(args, load_config(args.config) if args.config else {})
         output = res.get_str("output")
 
-        if args.subcommand == "spectrum":
-            _run_spectrum(res, output)
-        elif args.subcommand == "gaps":
-            _run_gaps(res, output)
-        elif args.subcommand == "ingham-check":
-            _run_ingham_check(res, output)
-        elif args.subcommand == "modes":
-            _run_modes(res, output)
-        elif args.subcommand == "observe":
-            _run_observe(res, output)
-        elif args.subcommand == "thresholds":
-            _run_thresholds(res, output)
-        else:  # pragma: no cover - argparse restricts choices
-            raise ValidationError("subcommand", f"unknown subcommand {args.subcommand!r}")
+        _RUNNERS[args.subcommand](res, output)
         return 0
     except CertificationFailure as exc:
         datum = getattr(exc, "datum", None)

@@ -6,12 +6,18 @@ is a high-order Runge-Kutta integration of the third-order amplitude equation,
 and family generation enforces the exponential-sum hypotheses by construction.
 """
 
+import json
 import math
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from memwave import ExponentFamily, characteristic_roots_numeric, pairwise_exponential_energy
+from memwave import (
+    ExponentFamily,
+    Violation,
+    characteristic_roots_numeric,
+    pairwise_exponential_energy,
+)
 
 
 def random_admissible_family(rng, n=None, T=None, real_frequencies=False,
@@ -113,6 +119,101 @@ def brute_force_gap_ratios(re):
         return float(np.min(num[admissible] / den[admissible]))
 
     return scan(re), scan(re.T)
+
+
+def loop_check_hypotheses(family, T):
+    """Oracle of check_hypotheses: one Python loop per hypothesis, pairs row-major.
+
+    Same Violation list in the same order: window, theta and mu first, then
+    separation over pairs (n, m) with n < m and m >= tau, then growth,
+    root-decay and amplitude per index.
+    """
+    slack = 1e-12
+    gamma, tau, n = family.gamma, family.tau, len(family)
+    re, im = family.omegas.real, family.omegas.imag
+    out = []
+    if gamma <= 2.0 * math.pi / T:
+        out.append(Violation("window", (), f"gamma={gamma} <= 2*pi/T={2.0 * math.pi / T}"))
+    if family.theta <= 0.5:
+        out.append(Violation("amplitude", (), f"theta={family.theta} <= 1/2"))
+    if family.mu <= 0.0 and any(r != 0.0 for r in family.Rs):
+        out.append(Violation("amplitude", (), f"mu={family.mu} <= 0"))
+    for a in range(n):
+        for b in range(a + 1, n):
+            required, got = gamma * (b - a), abs(re[a] - re[b])
+            if b + 1 >= tau and got < required - slack * max(1.0, required):
+                out.append(Violation("separation", (a + 1, b + 1),
+                                     f"|Re omega_{a + 1} - Re omega_{b + 1}|={got} "
+                                     f"< gamma*|n-m|={required}"))
+    for a in range(n):
+        bound = gamma * (a + 1)
+        if re[a] < bound - slack * max(1.0, bound):
+            out.append(Violation("growth", (a + 1,), f"Re omega={re[a]} < gamma*n={bound}"))
+    for a in range(n):
+        if family.rs[a] > -im[a] + slack * max(1.0, abs(im[a])):
+            out.append(Violation("root-decay", (a + 1,),
+                                 f"r={family.rs[a]} > -Im omega={-im[a]}"))
+    if family.theta > 0.5 and family.mu > 0.0:
+        # the bound as the library forms it: numpy's complex abs may differ from
+        # Python's in the last bit
+        bounds = family.mu * np.abs(family.Cs) / np.arange(1, n + 1) ** family.theta
+        for a, allowed in enumerate(bounds):
+            if abs(family.Rs[a]) > allowed + slack * max(1.0, allowed):
+                out.append(Violation("amplitude", (a + 1,),
+                                     f"|R|={abs(family.Rs[a])} > mu*|C|/n^theta={allowed}"))
+    return out
+
+
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def reference_json_dumps(obj, indent=0):
+    """Reference JSON writer: a recursive walk over dicts, lists and scalars,
+    insertion order, 17 significant digits, NaN/Infinity for non-finite floats."""
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{inner}{json.dumps(str(k))}: {reference_json_dumps(v, indent + 1)}"
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not len(obj):
+            return "[]"
+        items = [f"{inner}{reference_json_dumps(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        text = format(float(obj), ".17g")
+        return _JSON_NON_FINITE.get(text, text)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def reference_csv_table(header, rows):
+    """Reference CSV writer: `header`, then one line per row; integers by str,
+    floats with 17 significant digits (nan, inf and -inf as Python spells them)."""
+    def cell(x):
+        return str(int(x)) if isinstance(x, (int, np.integer)) else format(float(x), ".17g")
+
+    return "\n".join([header, *(",".join(map(cell, row)) for row in rows)]) + "\n"
+
+
+def reference_mode_table(columns, fmt):
+    """A per-mode table through the reference writers: k1, k2, then `columns`."""
+    kmax = len(next(iter(columns.values())))
+    k1, k2 = np.indices((kmax, kmax)) + 1
+    names = ["k1", "k2", *columns]
+    rows = list(zip(*(a.ravel().tolist() for a in (k1, k2, *columns.values()))))
+    if fmt == "csv":
+        return reference_csv_table(",".join(names), rows)
+    return reference_json_dumps([dict(zip(names, row)) for row in rows]) + "\n"
 
 
 def quad_energy(family, T, epsabs=1e-11):

@@ -1,12 +1,17 @@
 """Subcommand behavior, formats, config merging, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from memwave import Violation, gap_constant
+import memwave.cli as cli
+from conftest import reference_json_dumps, reference_mode_table
+from memwave import InitialData, KernelParams, Violation, expand, gap_constant, mode_spectrum
 from memwave.cli import format_float, load_config, parse_and_dispatch
 from memwave.errors import (
     AuditFailure,
@@ -18,6 +23,7 @@ from memwave.errors import (
     ParseError,
     ValidationError,
 )
+from memwave.spectrum import _vieta_residuals
 
 
 def run(argv, capsys):
@@ -56,6 +62,87 @@ class TestFormatFloat:
 
     def test_infinity(self):
         assert format_float(math.inf) == "Infinity"
+
+    def test_nan_and_negative_infinity(self):
+        assert format_float(math.nan) == "NaN"
+        assert format_float(-math.nan) == "NaN"
+        assert format_float(-math.inf) == "-Infinity"
+
+    def test_negative_zero_keeps_its_sign(self):
+        assert format_float(-0.0) == "-0"
+        assert math.copysign(1.0, float(format_float(-0.0))) == -1.0
+
+    def test_integers_in_full(self):
+        for n in (0, 1, -3, 512, 2**53):
+            assert format_float(n) == str(n)
+        assert format_float(np.int64(36864)) == "36864"
+
+
+def same_float(a, b):
+    """Equal as binary64 values, the sign of zero included; any NaN equals any NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+#: Every float, with the edges a writer can get wrong drawn often.
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                     2.2250738585072009e-308, 1.7976931348623157e308, -1e300, 1e17]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+class TestTableWriter:
+    """The table writers against the reference writers, and value round trips."""
+
+    @given(st.lists(st.tuples(EDGE_FLOATS, EDGE_FLOATS), min_size=1, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    @example([(math.nan, -0.0), (math.inf, 5e-324), (-math.inf, 1.7976931348623157e308)])
+    def test_tables_round_trip_exactly(self, rows):
+        # a column of integers beside two float columns, written as JSON and as CSV
+        columns = {"k": list(range(1, len(rows) + 1)),
+                   "x": [x for x, _ in rows], "y": [y for _, y in rows]}
+        text = cli.json_dumps(columns, table=True)
+        assert text == reference_json_dumps(
+            [dict(zip(columns, row)) for row in zip(*columns.values())]) + "\n"
+        # JSON numbers are read as floats: "-0" is negative zero, not the int 0
+        records = json.loads(text, parse_int=float)
+        csv_rows = [line.split(",") for line in cli._csv(columns).splitlines()]
+        assert csv_rows[0] == ["k", "x", "y"]
+        for i, (x, y) in enumerate(rows):
+            assert records[i]["k"] == int(csv_rows[i + 1][0]) == i + 1
+            assert same_float(records[i]["x"], x) and same_float(records[i]["y"], y)
+            assert same_float(float(csv_rows[i + 1][1]), x)
+            assert same_float(float(csv_rows[i + 1][2]), y)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_spectrum_matches_reference_writer_at_kmax_64(self, fmt, tmp_path):
+        params = KernelParams(beta=0.4, eta=0.6)
+        lam, omega, r = mode_spectrum(params, 64)
+        residual = np.maximum.reduce(_vieta_residuals(
+            1j * omega, -1j * omega.conj(), r.astype(complex), params, lam))
+        columns = {"lambda": lam, "re_omega": omega.real, "im_omega": omega.imag,
+                   "r": r, "residual": residual}
+        out = tmp_path / "spectrum.out"
+        assert parse_and_dispatch(["spectrum", "--beta", "0.4", "--eta", "0.6", "--kmax", "64",
+                                   "--format", fmt, "--output", str(out)]) == 0
+        assert out.read_text() == reference_mode_table(columns, fmt)
+
+    def test_modes_matches_reference_writer_at_kmax_64(self, tmp_path):
+        rng = np.random.default_rng(64)
+        grids = []
+        for name in ("u0", "u1"):
+            grids.append(rng.normal(size=(129, 129)))
+            np.savetxt(tmp_path / f"{name}.csv", grids[-1], delimiter=",", fmt="%.17g")
+        out = tmp_path / "modes.json"
+        assert parse_and_dispatch(["modes", "--beta", "0.3", "--kmax", "64",
+                                   "--u0", str(tmp_path / "u0.csv"),
+                                   "--u1", str(tmp_path / "u1.csv"), "--output", str(out)]) == 0
+        e = expand(KernelParams.limiting_regime(0.3), InitialData.from_samples(*grids, 64))
+        columns = {"C_re": e.C.real, "C_im": e.C.imag, "R": e.R, "re_omega": e.omega.real,
+                   "im_omega": e.omega.imag, "r": e.r}
+        assert out.read_text() == reference_mode_table(columns, "json")
 
 
 class TestSpectrumCommand:
@@ -153,12 +240,12 @@ class TestModesCommand:
         from memwave import InitialData, KernelParams, expand
 
         u0, u1 = write_grids(tmp_path)
-        emit = tmp_path / "coeffs.json"
+        out = tmp_path / "coeffs.json"
         status, _, _ = run(
             ["modes", "--beta", "0.1", "--kmax", "3", "--u0", u0, "--u1", u1,
-             "--emit", str(emit)], capsys)
+             "--output", str(out)], capsys)
         assert status == 0
-        records = json.loads(emit.read_text())
+        records = json.loads(out.read_text())
         assert len(records) == 9
         data = InitialData.from_samples(np.loadtxt(u0, delimiter=","),
                                         np.loadtxt(u1, delimiter=","), 3)
@@ -183,7 +270,7 @@ class TestObserveCommand:
         report_path = tmp_path / "report.json"
         status, _, _ = run(
             ["observe", "--beta", "0.01", "--T", "50", "--kmax", "3",
-             "--mu", "1", "--u0", u0, "--u1", u1, "--report", str(report_path)],
+             "--mu", "1", "--u0", u0, "--u1", u1, "--output", str(report_path)],
             capsys)
         assert status == 0
         report = json.loads(report_path.read_text())
@@ -198,13 +285,50 @@ class TestObserveCommand:
         out_path = tmp_path / "report.json"
         status, _, _ = run(
             ["observe", "--beta", "0.5", "--T", "50", "--kmax", "3",
-             "--mu", "1", "--u0", u0, "--u1", u1, "--report", str(out_path)],
+             "--mu", "1", "--u0", u0, "--u1", u1, "--output", str(out_path)],
             capsys)
         assert status == 0
         report = json.loads(out_path.read_text())
         assert report["infeasible"] is True
         assert report["verdict"] is False
         assert report["T0"] == math.inf  # serialized as Infinity
+
+
+class TestFiniteReport:
+    """A report float that is not finite fails the run, unless it is an infeasible T0."""
+
+    ARGS = ["observe", "--beta", "0.01", "--T", "50", "--kmax", "3", "--mu", "1"]
+
+    def run_with_report(self, changes, tmp_path, capsys, monkeypatch):
+        real = cli.verify_observability
+
+        def patched(config, data):
+            return dataclasses.replace(real(config, data), **changes)
+
+        monkeypatch.setattr(cli, "verify_observability", patched)
+        u0, u1 = write_grids(tmp_path)
+        out = tmp_path / "report.json"
+        status, _, err = run(self.ARGS + ["--u0", u0, "--u1", u1, "--output", str(out)],
+                             capsys)
+        return status, err, out
+
+    def test_nan_value_is_audit_failure(self, tmp_path, capsys, monkeypatch):
+        status, err, out = self.run_with_report({"lhs": math.nan}, tmp_path, capsys,
+                                                monkeypatch)
+        assert status == 1
+        assert err.startswith("assertion failure: report value lhs=nan is not finite")
+        assert not out.exists()
+
+    def test_infinite_T0_needs_infeasible(self, tmp_path, capsys, monkeypatch):
+        status, err, out = self.run_with_report({"T0": math.inf, "infeasible": False},
+                                                tmp_path, capsys, monkeypatch)
+        assert status == 1
+        assert "report value T0=inf is not finite" in err
+        assert not out.exists()
+        status, _, out = self.run_with_report({"T0": math.inf, "infeasible": True},
+                                              tmp_path, capsys, monkeypatch)
+        assert status == 0
+        assert json.loads(out.read_text())["T0"] == math.inf
 
 
 class TestThresholdsCommand:
@@ -405,9 +529,22 @@ class TestConfigFile:
 
         assert _KNOWN_KEYS == {
             "beta", "eta", "kmax", "format", "steps", "gamma_table",
-            "family", "t", "u0", "u1", "emit", "mu", "theta", "report", "beta_steps",
+            "family", "t", "u0", "u1", "mu", "theta", "beta_steps",
             "output",
         }
+
+    @pytest.mark.parametrize("subcommand, alias", [("modes", "emit"), ("observe", "report")])
+    def test_removed_output_aliases_rejected(self, subcommand, alias, tmp_path, capsys):
+        # --output is the one destination; the old per-subcommand aliases are
+        # neither flags nor config keys
+        conf = tmp_path / "alias.conf"
+        conf.write_text(f"{alias} = out.json\n")
+        status, _, err = run([subcommand, "--config", str(conf)], capsys)
+        assert status == 2
+        assert f"{alias}: unknown configuration key" in err
+        status, _, err = run([subcommand, f"--{alias}", str(tmp_path / "x")], capsys)
+        assert status == 2
+        assert f"--{alias}" in err
 
     def test_subcommand_key_rejected(self, tmp_path, capsys):
         # the subcommand comes from the command line; a file cannot switch it

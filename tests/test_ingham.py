@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import quad_energy, quad_windowed_moment, random_admissible_family
+from conftest import (
+    loop_check_hypotheses,
+    quad_energy,
+    quad_windowed_moment,
+    random_admissible_family,
+)
 from memwave import (
     AuditFailure,
     ExponentFamily,
@@ -336,6 +341,26 @@ class TestCheckHypotheses:
         violations = check_hypotheses(family, 8.0)
         assert any(v.hypothesis == "root-decay" and v.indices == (1,)
                    for v in violations)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_loop_oracle_on_crowded_family(self, seed):
+        # 40 terms whose frequency steps are often below gamma: separation fails
+        # at many pairs, pairs below tau are exempt, and growth, root-decay and
+        # amplitude fail at some indices; the list must equal the loop's
+        rng = np.random.default_rng(seed)
+        n, gamma = 40, 1.5
+        re = np.cumsum(gamma * rng.uniform(0.2, 1.6, n))
+        im = 0.3 * rng.random(n)
+        rs = -im + rng.choice([-0.5, 0.2], n, p=[0.8, 0.2])
+        cs = rng.normal(size=n) + 1j * rng.normal(size=n)
+        amps = rng.uniform(-2.0, 2.0, n) * np.abs(cs)
+        family = ExponentFamily(omegas=re + 1j * im, rs=rs, Cs=cs, Rs=amps, gamma=gamma,
+                                tau=int(rng.integers(1, 8)), theta=1.0, mu=1.0)
+        violations = check_hypotheses(family, 3.0)
+        assert violations == loop_check_hypotheses(family, 3.0)
+        hypotheses = [v.hypothesis for v in violations]
+        assert hypotheses.count("separation") > 100
+        assert {"window", "growth", "root-decay", "amplitude"} <= set(hypotheses)
 
 
 class TestEnergyLowerBound:
