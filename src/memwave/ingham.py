@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
-from scipy.special import zeta
 
 from .errors import (
     AuditFailure,
@@ -362,6 +361,8 @@ def constant_S(mu: float, theta: float) -> float:
     if theta == 1.0:
         tail_sum = PI * PI / 6.0
     else:
+        from scipy.special import zeta  # only theta != 1 needs scipy
+
         tail_sum = float(zeta(2.0 * theta))
     S = mu * max(tail_sum, PI * PI / 6.0)
     if not math.isfinite(4.0 * (4.0 + 3.0 * S)):

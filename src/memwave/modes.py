@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.fft import dstn
 
 from .errors import (
     DegenerateExponents,
@@ -124,7 +123,10 @@ def sine_coefficients(values, kmax: int) -> np.ndarray:
     `values[i, j]` holds the sample at (x_{i+1}, y_{j+1}) with x_i = i*pi/(M+1)
     on an M x M grid, M >= 2*kmax + 1.  The type-I DST quadrature is exact for
     sine polynomials of degree <= M, so coefficients of band-limited data come
-    out to rounding error.
+    out to rounding error.  The 2-D transform is `_dst1`, the rfft
+    odd-extension DST-I, along axis 0, then along axis 1 on the kmax rows
+    kept.  In that order the result equals `dstn(values, type=1)[:kmax, :kmax]`
+    bit for bit; the reverse order differs in the last bits.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
@@ -137,8 +139,20 @@ def sine_coefficients(values, kmax: int) -> np.ndarray:
             f"grid of {m} points per direction cannot resolve kmax={kmax}; "
             f"need at least {2 * kmax + 1}"
         )
-    coeffs = dstn(values, type=1) / (m + 1) ** 2
-    return np.ascontiguousarray(coeffs[:kmax, :kmax])
+    rows = _dst1(values.T)[:, :kmax].T
+    return _dst1(rows)[:, :kmax] / (m + 1) ** 2
+
+
+def _dst1(x: np.ndarray) -> np.ndarray:
+    """Unnormalised type-I DST along the last axis of x (length M):
+    y_k = 2 * sum_n x_n sin(pi (k+1)(n+1) / (M+1)), the convention of
+    `dst(type=1)`.  The odd extension [0, x, 0, -reversed x] of length
+    2(M+1) has a real FFT whose bins 1..M are -i*y."""
+    m = x.shape[-1]
+    ext = np.zeros(x.shape[:-1] + (2 * (m + 1),))
+    ext[..., 1:m + 1] = x
+    ext[..., m + 2:] = -x[..., ::-1]
+    return -np.fft.rfft(ext)[..., 1:m + 1].imag
 
 
 def _solve_coefficients(z1, z2, z3, a, b, lam):

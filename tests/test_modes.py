@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import dstn
 
 from conftest import lagrange_coefficients, mode_ode_oracle, sine_polynomial_on_grid
 from memwave import (
@@ -64,6 +65,13 @@ class TestSineCoefficients:
         values = sine_polynomial_on_grid(target, 2 * kmax + 1)
         coeffs = sine_coefficients(values, kmax)
         assert np.max(np.abs(coeffs - target)) < 1e-12
+
+    @pytest.mark.parametrize("m", [3, 5, 9, 129, 130, 385, 1025])
+    def test_matches_scipy_dstn_bit_for_bit(self, m):
+        values = np.random.default_rng(m).normal(size=(m, m))
+        full = dstn(values, type=1) / (m + 1) ** 2
+        for kmax in (1, (m - 1) // 2):
+            assert np.array_equal(sine_coefficients(values, kmax), full[:kmax, :kmax]), kmax
 
     def test_grid_too_coarse(self):
         with pytest.raises(GridTooCoarse):
