@@ -28,10 +28,18 @@ admits the explicit lower bound evaluated by `energy_lower_bound`:
     S = mu * max( sum_n n^{-2*theta}, pi^2/6 ).
 
 The left side is computed exactly by expanding into pairwise products of
-exponentials and integrating each in closed form.  For many signals on one
-set of exponents (the boundary trace), `_real_signal_gram` builds the
-closed-form Gram blocks of those exponents once and `_gram_energy` evaluates
-each signal's energy as quadratic forms in them.
+exponentials and integrating each in closed form.  For many signals on
+shared sets of exponents (the boundary trace), `_real_signal_energies` uses
+the Cauchy form of the closed-form Gram entry,
+
+    integral_0^T e^{(p + q) t} dt = (e^{pT} e^{qT} - 1) / (p + q),
+
+so that each quadratic form is two products of the Cauchy matrix
+K = 1/(p_a + q_b) with coefficient vectors.  K is evaluated in tiles of a
+fixed number of entries, several sets or a few rows at a time, so memory is
+O(kmax^2) and no Gram matrix is ever built; each tile is multiplied by the
+stacked coefficients of every signal on its exponents in one BLAS product,
+small enough to run on one thread.
 """
 
 from __future__ import annotations
@@ -75,6 +83,10 @@ _SERIES_CUTOFF = 1e-6
 #: |(p + q)*T| below which a Gram entry falls back from (e^{pT} e^{qT} - 1)/(p + q)
 #: to exp_integral.
 _GRAM_CUTOFF = 1e-3
+
+#: Complex Cauchy-matrix entries per tile of the trace-energy kernel: the tile
+#: stays in cache and each matrix product in it stays on one BLAS thread.
+_TILE_ENTRIES = 2**14
 
 #: Rounding slack used when checking the exact family hypotheses.
 _HYP_SLACK = 1e-12
@@ -220,19 +232,20 @@ def exp_integral(s, T: float):
     s_arr = np.asarray(s, dtype=complex if np.iscomplexobj(s) else float)
     flat = s_arr.reshape(-1)
     x = flat * T
-    out = np.empty(flat.shape, dtype=flat.dtype)
-    small = np.abs(x) < _SERIES_CUTOFF
-    if np.any(~small):
-        sb = flat[~small]
-        out[~small] = np.expm1(sb * T) / sb
-    if np.any(small):
-        # products, not x**n: real x**3 and up would each call pow()
-        xs = x[small]
-        x2 = xs * xs
-        x4 = x2 * x2
-        out[small] = T * (
-            1.0 + xs / 2.0 + x2 / 6.0 + xs * x2 / 24.0 + x4 / 120.0 + xs * x4 / 720.0
-        )
+    if not x.any():
+        out = np.full(flat.shape, T, dtype=flat.dtype)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.expm1(x) / flat
+        small = np.abs(x) < _SERIES_CUTOFF
+        if small.any():
+            # products, not x**n: real x**3 and up would each call pow()
+            xs = x[small]
+            x2 = xs * xs
+            x4 = x2 * x2
+            out[small] = T * (
+                1.0 + xs / 2.0 + x2 / 6.0 + xs * x2 / 24.0 + x4 / 120.0 + xs * x4 / 720.0
+            )
     out = out.reshape(s_arr.shape)
     return out.item() if out.ndim == 0 else out
 
@@ -276,64 +289,208 @@ def pairwise_exponential_energy(coeffs, exps, T: float) -> float:
         total, lambda: float(np.sum(np.abs(products) * np.abs(integrals))))
 
 
-def _gram_block(p, u, q, v, T: float) -> np.ndarray:
-    """G_ab = integral_0^T e^{(p_a + q_b) t} dt = (u_a v_b - 1)/(p_a + q_b),
-    given u = e^{p T} and v = e^{q T}.
+def _bound_sum(x, y) -> np.ndarray:
+    """Lower bound on |x_a + y_b| over all pairs (a, b), per set: x (g, na) and
+    y (g, nb) real, judged from their extremes alone."""
+    return np.maximum(np.maximum(x.min(axis=1) + y.min(axis=1),
+                                 -(x.max(axis=1) + y.max(axis=1))), 0.0)
 
-    Entries with |(p_a + q_b) T| < _GRAM_CUTOFF come from exp_integral, since
-    u_a v_b - 1 loses digits as it nears zero.
+
+def _bound_difference(x) -> np.ndarray:
+    """Lower bound on |x_a - x_b| over the pairs a != b, per set: x (g, n) real."""
+    if x.shape[1] < 2:
+        return np.full(x.shape[0], np.inf)
+    return np.diff(np.sort(x, axis=1), axis=1).min(axis=1)
+
+
+def _tiles(m: int, n: int, cols: int) -> list:
+    """(sets, rows) slices covering an (m, n, cols) stack of Cauchy matrices in
+    tiles of at most max(_TILE_ENTRIES, cols) entries: several whole sets when
+    one fits, else even chunks of the rows of one set."""
+    if n * cols <= _TILE_ENTRIES:
+        sets = _TILE_ENTRIES // (n * cols)
+        return [(slice(j, j + sets), slice(0, n)) for j in range(0, m, sets)]
+    chunks = -(-n // max(1, _TILE_ENTRIES // cols))
+    rows = -(-n // chunks)
+    return [(slice(j, j + 1), slice(a, a + rows)) for j in range(m) for a in range(0, n, rows)]
+
+
+def _diagonal(tile, offset: int) -> np.ndarray:
+    """View of the entries (a, offset + a) of each set's rows in a (g, rows, cols) tile."""
+    g, rows, cols = tile.shape
+    return tile.reshape(g, rows * cols)[:, offset::cols + 1][:, :rows]
+
+
+def _cauchy_tile(P, Q, T: float, bounds=(0.0, math.inf), diagonal=None, out=None):
+    """The Cauchy tile K = 1/(P_a + Q_b) of row exponents P (g, rows) and column
+    exponents Q (g, cols), with its fallback tile E.
+
+    Wherever |(P_a + Q_b) T| < _GRAM_CUTOFF, K is zero and E holds
+    exp_integral(P_a + Q_b); E is None when no entry falls under the cutoff,
+    and K is None when every entry does.  `bounds` holds a lower and an upper
+    bound on |P_a + Q_b|: entries are tested one by one only when these do
+    not decide.  With `diagonal`, the entries (a, diagonal + a) are zero in K
+    and never in E: the caller adds them itself.  K is written to `out`, a
+    flat buffer of P's dtype, if given.
     """
-    s = np.add.outer(p, q)
-    small = np.abs(s) < _GRAM_CUTOFF / T
-    block = np.multiply.outer(u, v) - 1.0
-    np.divide(block, s, out=block, where=~small)
-    if small.any():
-        block[small] = exp_integral(s[small], T)
-    return block
+    shape = P.shape + Q.shape[1:]
+    s = None if out is None else out[:math.prod(shape)].reshape(shape)
+    s = np.add(P[:, :, None], Q[:, None, :], out=s)
+    gap = _GRAM_CUTOFF / T
+    if bounds[1] < gap and diagonal is None:
+        return None, exp_integral(s, T)
+    small = fallback = None
+    if bounds[0] < gap:
+        small = np.abs(s) < gap
+        if diagonal is not None:
+            _diagonal(small, diagonal)[...] = False
+        if small.any():
+            fallback = np.zeros_like(s)
+            fallback[small] = exp_integral(s[small], T)
+            s[small] = 1.0
+        else:
+            small = None
+    if diagonal is not None:
+        _diagonal(s, diagonal)[...] = 1.0
+    # every entry left is at least `gap` away from zero
+    tile = np.reciprocal(s, out=s)
+    if small is not None:
+        tile[small] = 0.0
+    if diagonal is not None:
+        _diagonal(tile, diagonal)[...] = 0.0
+    return tile, fallback
 
 
-def _real_signal_gram(omegas, rs, T: float) -> tuple:
-    """The four Gram blocks of the real signal F = 2 Re X + Y over [0, T],
+def _cauchy_energy(P, Q, left, right, T: float, bounds, diagonal=None, out=None):
+    """sum_ab z_a w_b integral_0^T e^{(P_a + Q_b) t} dt for each coefficient pair.
+
+    `left` (g, rows, 2c) interleaves (u*z, -z) and `right` (g, cols, 2c)
+    interleaves (v*w, w) for c coefficient pairs, with u = e^{P T} and
+    v = e^{Q T}.  By the Cauchy form of the Gram entry,
+    (u_a v_b - 1)/(P_a + Q_b) = (u_a v_b - 1) K_ab, the sum is
+    (u*z)^T K (v*w) - z^T K w: one product of the tile K with the stack.
+    Entries under the cutoff come from the fallback tile E as z^T E w.
+    Returns the sums, shape (g, c).
+    """
+    tile, fallback = _cauchy_tile(P, Q, T, bounds, diagonal, out)
+    if tile is None:
+        products = np.zeros(left.shape, dtype=np.result_type(fallback, right))
+    else:
+        products = tile @ right
+    if fallback is not None:
+        products[..., 1::2] -= (fallback @ right)[..., 1::2]
+    sums = np.einsum("gak,gak->gk", left, products)
+    return sums[:, 0::2] + sums[:, 1::2]
+
+
+def _interleave(a, b) -> np.ndarray:
+    """Stack (..., n, c) arrays a and b into (..., n, 2c) as a0, b0, a1, b1, ..."""
+    return np.stack([a, b], axis=-1).reshape(*a.shape[:-1], 2 * a.shape[-1])
+
+
+def _chunk_energies(p, r, z, R, T: float, work) -> np.ndarray:
+    """For one chunk of sets in _real_signal_energies, complex sums whose real
+    parts are half the energies: exponents p = i*omega and r (g, n),
+    coefficients z and R (g, n, c); `work` is a flat complex buffer that
+    holds any tile."""
+    g, n = p.shape
+    u, v = np.exp(p * T), np.exp(r * T)
+    vq = np.concatenate([u, u.conj(), v], axis=1)
+    w = np.concatenate([z, z.conj(), 2.0 * R], axis=1)
+    left_x = _interleave(u[:, :, None] * z, -z)
+    right_x = _interleave(vq[:, :, None] * w, w)
+    left_y = _interleave(v[:, :, None] * R, -R)
+    right_y = _interleave(v[:, :, None] * R, R)
+    # lower bounds on |s| >= |Re s|, |Im s| per set and part, from the
+    # exponents' extremes (and, off the |X|^2 diagonal, from the gaps between
+    # their Re omega); the Y^2 sums are real and bounded above as well
+    re, im = p.real, p.imag
+    lower_x = np.minimum.reduce([
+        np.maximum(_bound_sum(re, re), _bound_sum(im, im)),  # X^2
+        np.maximum(_bound_sum(re, re), _bound_difference(im)),  # |X|^2
+        np.maximum(_bound_sum(re, r), _bound_sum(im, np.zeros_like(r)))])  # XY
+    lower_y, upper_y = _bound_sum(r, r), 2.0 * np.abs(r).max(axis=1, initial=0.0)
+    sums = np.einsum("gac,ga->gc", z * z.conj(), exp_integral(p + p.conj(), T))
+    # The X^2 and |X|^2 forms are symmetric and Hermitian in (a, b), as is the
+    # Y^2 form, and only their real parts count: a tile of rows a0 <= a < a1
+    # takes their columns b >= a0 only, those with b >= a1 weighted twice.
+    for J, A in _tiles(g, n, 3 * n):
+        a0, a1 = A.start, min(A.stop, n)
+        twice = np.where(np.arange(a0, n) < a1, 1.0, 2.0)[:, None]
+        q = np.concatenate([p[J, a0:], p[J, a0:].conj(), r[J]], axis=1)
+        right = np.concatenate([right_x[J, a0:n] * twice, right_x[J, n + a0:2 * n] * twice,
+                                right_x[J, 2 * n:]], axis=1)
+        sums[J] += _cauchy_energy(p[J, A], q, left_x[J, A], right, T,
+                                  (lower_x[J].min(), math.inf), diagonal=n - a0, out=work)
+    for J, A in _tiles(g, n, n):
+        a0, a1 = A.start, min(A.stop, n)
+        twice = np.where(np.arange(a0, n) < a1, 1.0, 2.0)[:, None]
+        sums[J] += 0.5 * _cauchy_energy(r[J, A], r[J, a0:], left_y[J, A], right_y[J, a0:] * twice,
+                                        T, (lower_y[J].min(), upper_y[J].max()),
+                                        out=work.view(float))
+    return sums
+
+
+def _real_signal_energies(omegas, rs, Cs, Rs, T: float) -> np.ndarray:
+    """Exact energies integral_0^T F^2 dt of real signals F = 2 Re X + Y,
 
         X(t) = sum_a C_a e^{i omega_a t},    Y(t) = sum_a R_a e^{r_a t},
 
-    for the exponents (omegas, rs) and any coefficients (C, R):
-    (integral e^{(p_a + p_b) t}, integral e^{(p_a + conj p_b) t},
-     integral e^{(p_a + r_b) t}, integral e^{(r_a + r_b) t}) with p = i*omega.
-    Every exponent must have a nonpositive real part (Im omega >= 0, r <= 0),
-    so that |e^{p T}| <= 1 and no entry overflows.
+    for m sets of n exponents, omegas and rs of shape (m, n), and c signals
+    per set, Cs (complex) and Rs (real) of shape (m, n, c).  Returns the
+    energies, shape (m, c), each passed through _clamped_energy.
+
+    Writing p = i*omega, the energy is 2 Re sum_ab z_a w_b G(p_a, q_b)
+    + sum_ab R_a R_b G(r_a, r_b), with G(p, q) = integral_0^T e^{(p + q) t} dt,
+    q = (p, conj p, r) and w = (C, conj C, 2R): one complex Cauchy form of
+    n x 3n entries and one real form of n x n entries per set.  The diagonal
+    of the |X|^2 part, G(p_a, conj p_a), carries the |C_a|^2 terms that
+    dominate the energy and cancels in the Cauchy form when Im omega_a*T is
+    small: it comes from exp_integral, on complex input.  Other entries are
+    screened for the cutoff one by one only where bounds from the extremes
+    and gaps of the exponents cannot rule it out.
+
+    The forms are evaluated in tiles of about _TILE_ENTRIES entries (see
+    _tiles) in one reused buffer, and the coefficient stacks for a chunk of
+    sets at a time: memory stays O(m*n + _TILE_ENTRIES), and each matrix
+    product is small enough to run on one BLAS thread.  A tile of a few rows
+    of a set evaluates the symmetric X^2 and Y^2 parts and the Hermitian
+    |X|^2 part on and above the diagonal only.  Every exponent must
+    have a nonpositive real part (Im omega >= 0, r <= 0), so that no e^{pT}
+    overflows.
     """
     p = 1j * np.asarray(omegas, dtype=complex)
     r = np.asarray(rs, dtype=float)
-    u, v = np.exp(p * T), np.exp(r * T)
-    hermitian = _gram_block(p, u, p.conj(), u.conj(), T)
-    # The diagonal carries the |C_a|^2 terms that dominate the energy, and
-    # |u_a|^2 - 1 cancels when Im omega_a*T is small: take it from exp_integral,
-    # on complex input (its real path rounds some entries differently).
-    np.fill_diagonal(hermitian, exp_integral(p + p.conj(), T))
-    return (_gram_block(p, u, p, u, T), hermitian,
-            _gram_block(p, u, r, v, T), _gram_block(r, v, r, v, T))
+    z = np.asarray(Cs, dtype=complex)
+    R = np.asarray(Rs, dtype=float)
+    m, n = p.shape
+    work = np.empty(min(m * n * 3 * n, max(_TILE_ENTRIES, 3 * n)), dtype=complex)
+    chunk = max(1, _TILE_ENTRIES // n)
+    totals = np.empty(z.shape[::2], dtype=complex)
+    for j in range(0, m, chunk):
+        J = slice(j, j + chunk)
+        totals[J] = _chunk_energies(p[J], r[J], z[J], R[J], T, work)
+    return np.array([[_clamped_energy(float(2.0 * totals[j, c].real),
+                                      lambda: _energy_budget(p[j], r[j], z[j, :, c], R[j, :, c], T))
+                      for c in range(totals.shape[1])] for j in range(m)])
 
 
-def _gram_energy(gram, Cs, Rs) -> float:
-    """Exact energy of the real signal with coefficients (Cs, Rs) on the
-    exponents of `gram` (from _real_signal_gram):
+def _energy_budget(p, r, z, R, T: float) -> float:
+    """sum_ab |G_ab| |z_a w_b| over the terms of one signal's energy in
+    _real_signal_energies (exponents p = i*omega and r, coefficients z and R):
+    the scale of its rounding residue."""
 
-        integral F^2 = 2 Re integral X^2 + 2 integral |X|^2
-                       + 4 Re integral X Y + integral Y^2.
+    def gram(P, Q, diagonal=None):
+        tile, fallback = _cauchy_tile(P[None], Q[None], T, diagonal=diagonal)
+        block = (np.multiply.outer(np.exp(P * T), np.exp(Q * T)) - 1.0) * tile[0]
+        return block if fallback is None else block + fallback[0]
 
-    Each quadratic form is an elementwise product summed by np.sum, not a
-    BLAS matrix-vector product, so its cost and summation order do not
-    depend on the BLAS thread count.
-    """
-    outer = np.multiply.outer
-    terms = (outer(Cs, Cs), outer(Cs, Cs.conj()), outer(Cs, Rs), outer(Rs, Rs))
-    weights = (2.0, 2.0, 4.0, 1.0)
-    total = sum(w * np.sum(g * z).real for w, g, z in zip(weights, gram, terms))
-    return _clamped_energy(
-        float(total),
-        lambda: float(sum(w * np.sum(np.abs(g) * np.abs(z))
-                          for w, g, z in zip(weights, gram, terms))))
+    n = p.size
+    gram_x = gram(p, np.concatenate([p, p.conj(), r]), n)
+    _diagonal(gram_x[None], n)[...] = exp_integral(p + p.conj(), T)
+    w = np.concatenate([z, z.conj(), 2.0 * R])
+    return float(2.0 * np.sum(np.abs(gram_x) * np.multiply.outer(np.abs(z), np.abs(w)))
+                 + np.sum(np.abs(gram(r, r)) * np.multiply.outer(np.abs(R), np.abs(R))))
 
 
 def energy_integral(family: ExponentFamily, T: float) -> float:

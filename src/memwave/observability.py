@@ -10,11 +10,12 @@ energies per mode row and column:
 
 with x_{k1 k2}(t) = C e^{i omega t} + conj(C) e^{-i conj(omega) t} + R e^{r t}.
 Each row/column integral is evaluated exactly (no time quadrature in the
-verdict path) as quadratic forms in the closed-form Gram matrix
-G_ab = integral_0^T e^{(s_a + s_b) t} dt of its exponents.  Row k and column
-k have the same exponents, so each index needs one Gram matrix, held as four
-kmax x kmax blocks of the real signal 2 Re X + Y (see ingham._real_signal_gram):
-O(kmax^2) memory, O(kmax^3) time in all.
+verdict path) as a quadratic form in the closed-form Gram entries
+G_ab = integral_0^T e^{(s_a + s_b) t} dt = (e^{s_a T} e^{s_b T} - 1)/(s_a + s_b)
+of its exponents, written in the Cauchy form K_ab = 1/(s_a + s_b) (see
+ingham._real_signal_energies).  Row k and column k have the same exponents,
+so both forms of an index share each tile of K, evaluated in tiles of a
+fixed number of entries: O(kmax^2) memory, O(kmax^3) time in all.
 
 The verdict compares this trace energy with
 
@@ -43,7 +44,7 @@ import numpy as np
 
 from .errors import NotPositiveWarning, OutOfRange, ThetaOutOfRange
 from .gap_analysis import gap_constant
-from .ingham import _check_horizon, _gram_energy, _real_signal_gram, constant_S
+from .ingham import _check_horizon, _real_signal_energies, constant_S
 from .modes import InitialData, ModeExpansion, expand, mu_from_expansion
 from .spectrum import BETA_MAX, KernelParams
 
@@ -174,23 +175,27 @@ def boundary_trace_energy(expansion: ModeExpansion, T: float) -> float:
 
     One exponential-sum energy per mode row (side y = 0, weights k2) plus one
     per column (side x = 0, weights k1).  Row k and column k share their
-    exponents (omega and r are symmetric in (k1, k2)), so one closed-form
-    Gram matrix per index serves both quadratic forms; an expansion whose
-    column exponents differ from the row's gets a Gram matrix per column.
-    The parts are summed by math.fsum, so the result does not depend on
-    their order.
+    exponents (omega and r are symmetric in (k1, k2)), so both are evaluated
+    on one set of exponents by ingham._real_signal_energies; an expansion
+    whose column exponents differ from the row's has those columns evaluated
+    on their own.  The parts are summed by math.fsum, so the result does not
+    depend on their order.
     """
     _check_horizon(T)
     C, R, omega, r = expansion.C, expansion.R, expansion.omega, expansion.r
     k = np.arange(1, expansion.kmax + 1, dtype=float)
-    parts = []
-    for i in range(expansion.kmax):
-        gram = _real_signal_gram(omega[i, :], r[i, :], T)
-        parts.append(_gram_energy(gram, C[i, :] * k, R[i, :] * k))  # row: weight k2
-        if not (np.array_equal(omega[:, i], omega[i, :]) and np.array_equal(r[:, i], r[i, :])):
-            gram = _real_signal_gram(omega[:, i], r[:, i], T)
-        parts.append(_gram_energy(gram, C[:, i] * k, R[:, i] * k))  # column: weight k1
-    return (PI / 2.0) * math.fsum(parts)
+    rows_C, rows_R = C * k, R * k  # row i: weight k2
+    cols_C, cols_R = (C * k[:, None]).T, (R * k[:, None]).T  # column i: weight k1
+    shared = np.all(omega == omega.T, axis=1) & np.all(r == r.T, axis=1)
+    own = ~shared
+    shared_parts = _real_signal_energies(
+        omega[shared], r[shared], np.stack([rows_C[shared], cols_C[shared]], axis=-1),
+        np.stack([rows_R[shared], cols_R[shared]], axis=-1), T)
+    own_parts = _real_signal_energies(
+        np.concatenate([omega[own], omega.T[own]]), np.concatenate([r[own], r.T[own]]),
+        np.concatenate([rows_C[own], cols_C[own]])[..., None],
+        np.concatenate([rows_R[own], cols_R[own]])[..., None], T)
+    return (PI / 2.0) * math.fsum(np.concatenate([shared_parts.ravel(), own_parts.ravel()]))
 
 
 def weighted_coefficient_sum(expansion: ModeExpansion, T: float) -> float:

@@ -200,10 +200,11 @@ class TestEnergyIntegral:
         with pytest.raises(AuditFailure) as err:
             ingham.pairwise_exponential_energy([1.0, 1.0], [0.0, 0.0], 2.0)
         assert err.value.datum == (-8.0, 8.0)
-        # the Gram path: zero exponents take every entry from exp_integral
-        gram = ingham._real_signal_gram(np.zeros(2), np.zeros(2), 2.0)
+        # the Cauchy kernel of the trace energy: zero exponents put every
+        # entry under the cutoff, so each comes from exp_integral
         with pytest.raises(AuditFailure) as err:
-            ingham._gram_energy(gram, np.zeros(2, dtype=complex), np.ones(2))
+            ingham._real_signal_energies(np.zeros((1, 2)), np.zeros((1, 2)),
+                                         np.zeros((1, 2, 1)), np.ones((1, 2, 1)), 2.0)
         assert err.value.datum == (-8.0, 8.0)
 
     def test_rounding_residue_clamped_to_zero(self):
@@ -218,9 +219,36 @@ class TestEnergyIntegral:
         rng = np.random.default_rng(11)
         for _ in range(10):
             family, T = random_admissible_family(rng, n=12)
-            gram = ingham._real_signal_gram(family.omegas, family.rs, T)
-            exact = ingham._gram_energy(gram, family.Cs, family.Rs)
+            # the family as one set of exponents carrying one signal
+            [[exact]] = ingham._real_signal_energies(
+                family.omegas[None], family.rs[None],
+                family.Cs[None, :, None], family.Rs[None, :, None], T)
             assert abs(exact - energy_integral(family, T)) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("tile", [1, 5, 2**14])
+    @pytest.mark.parametrize("omegas, rs", [
+        ([3.0, -3.0 + 1e-9j, 7.0], [-0.5, -0.6, -0.7]),  # X^2: omega_1 + omega_2
+        ([3.0, 3.0 + 2e-9, 7.0], [-0.5, -0.6, -0.7]),  # |X|^2: omega_1 - omega_2
+        ([1e-9 + 2e-10j, 3.0, 7.0], [0.0, -0.6, -0.7]),  # XY: i omega_1 + r_1
+        ([3.0, 5.0, 7.0], [0.0, -1e-9, -0.7]),  # Y^2: r_1 + r_2
+    ], ids=["X^2", "|X|^2", "XY", "Y^2"])
+    def test_cauchy_kernel_entries_under_the_cutoff(self, omegas, rs, tile, monkeypatch):
+        # exponent sums of one part of the energy fall under the cutoff, each
+        # with |s*T| ~ 1e-8: in the Cauchy form they would lose ~8 digits
+        import memwave.ingham as ingham
+
+        monkeypatch.setattr(ingham, "_TILE_ENTRIES", tile)
+        omegas, rs = np.array(omegas, dtype=complex), np.array(rs)
+        rng = np.random.default_rng(3)
+        Cs = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        Rs = rng.normal(size=(3, 2))
+        T = 10.0
+        energies = ingham._real_signal_energies(omegas[None], rs[None], Cs[None], Rs[None], T)
+        for c in range(2):
+            family = ExponentFamily(omegas=omegas, rs=rs, Cs=Cs[:, c], Rs=Rs[:, c],
+                                    gamma=1.0, tau=1)
+            exact = energy_integral(family, T)
+            assert abs(energies[0, c] - exact) <= 1e-12 * exact
 
     def test_against_quadrature(self):
         rng = np.random.default_rng(5)

@@ -41,6 +41,15 @@ def random_data(rng, kmax):
                        b=rng.normal(size=(kmax, kmax)), kmax=kmax)
 
 
+def skewed_expansion():
+    """An expansion made asymmetric by hand: omega[0, 1] != omega[1, 0]."""
+    rng = np.random.default_rng(83)
+    expansion = expand(KernelParams.limiting_regime(0.1), random_data(rng, 6))
+    omega = expansion.omega.copy()
+    omega[0, 1] += 0.3
+    return dataclasses.replace(expansion, omega=omega)
+
+
 def boundary_energy_quadrature(expansion, T):
     """Independent oracle: Gauss-Legendre in space, adaptive quadrature in time."""
     kmax = expansion.kmax
@@ -268,12 +277,52 @@ class TestBoundaryTraceEnergy:
 
     def test_rows_and_columns_with_different_exponents(self):
         # a hand-built expansion whose omega is not symmetric: the columns
-        # need a Gram matrix of their own
-        rng = np.random.default_rng(83)
-        expansion = expand(KernelParams.limiting_regime(0.1), random_data(rng, 6))
-        omega = expansion.omega.copy()
-        omega[0, 1] += 0.3
-        skewed = dataclasses.replace(expansion, omega=omega)
+        # need a Cauchy matrix of their own
+        skewed = skewed_expansion()
+        oracle = pairwise_trace_energy(skewed, 5.0)
+        assert abs(boundary_trace_energy(skewed, 5.0) - oracle) <= 1e-12 * oracle
+
+    @pytest.mark.parametrize("tile", [1, 40, 200, 700])
+    def test_tiles_cover_every_row_once(self, tile, monkeypatch):
+        import memwave.ingham as ingham
+
+        monkeypatch.setattr(ingham, "_TILE_ENTRIES", tile)
+        for m, n in [(1, 1), (5, 2), (5, 4), (3, 13), (2, 16)]:
+            for cols in (n, 3 * n):
+                hits = np.zeros((m, n), dtype=int)
+                for sets, rows in ingham._tiles(m, n, cols):
+                    hits[sets, rows] += 1
+                    size = len(range(m)[sets]) * len(range(n)[rows]) * cols
+                    assert size <= max(tile, cols)
+                assert np.all(hits == 1)
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-6, 0.01, BETA_MAX])
+    @pytest.mark.parametrize("tile", [1, 40, 200, 700])
+    def test_small_tiles_match_pairwise_oracle(self, tile, beta, monkeypatch):
+        # tiles of a few entries: with kmax <= 16 the trace energy runs through
+        # tiles of several sets, tiles of a few rows, and ragged last tiles
+        import memwave.ingham as ingham
+
+        monkeypatch.setattr(ingham, "_TILE_ENTRIES", tile)
+        shapes = {(len(range(kmax)[sets]) > 1, len(range(kmax)[rows]) < kmax)
+                  for kmax in (1, 2, 5, 13, 16)
+                  for sets, rows in ingham._tiles(kmax, kmax, 3 * kmax)}
+        if tile == 200:
+            assert shapes == {(True, False), (False, False), (False, True)}
+        for kmax in (1, 2, 5, 13, 16):
+            rng = np.random.default_rng(kmax)
+            expansion = expand(KernelParams.limiting_regime(beta), random_data(rng, kmax))
+            oracle = pairwise_trace_energy(expansion, 50.0)
+            assert abs(boundary_trace_energy(expansion, 50.0) - oracle) <= 1e-12 * oracle
+
+    @pytest.mark.parametrize("tile", [1, 40, 200])
+    def test_small_tiles_with_different_column_exponents(self, tile, monkeypatch):
+        # as in test_rows_and_columns_with_different_exponents: the skewed
+        # columns must be evaluated on their own exponents in every tile shape
+        import memwave.ingham as ingham
+
+        monkeypatch.setattr(ingham, "_TILE_ENTRIES", tile)
+        skewed = skewed_expansion()
         oracle = pairwise_trace_energy(skewed, 5.0)
         assert abs(boundary_trace_energy(skewed, 5.0) - oracle) <= 1e-12 * oracle
 
