@@ -8,9 +8,9 @@ templates) from `tests/conftest.py`.  Only the serialization stage is timed:
 the columns of each table are computed once, then each writer turns them into
 text, in CPU time (`time.process_time`, user + system of this process).  The
 tables are those of `modes` (beta 0.3, normal random sine coefficients, seed
-701) and `spectrum --format json` (beta 0.4, eta 0.6).  Each writer runs
-REPEATS times; the median is recorded with every sample, and the two texts
-must be equal byte for byte.
+701) and `spectrum --format json` and `--format csv` (beta 0.4, eta 0.6).
+Each writer runs REPEATS times; the median is recorded with every sample, and
+the two texts must be equal byte for byte.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ from memwave.cli import _mode_table  # noqa: E402
 from memwave.spectrum import _vieta_residuals  # noqa: E402
 
 KMAX = (64, 192, 512)
+#: (table, format) pairs timed at every kmax.
+TABLES = (("modes", "json"), ("spectrum", "json"), ("spectrum", "csv"))
 REPEATS = 5
 SEED = 701
 
@@ -65,22 +67,23 @@ def cpu_seconds(fn, *args):
     return time.process_time() - start, value
 
 
-def measure(table: str, kmax: int, repeats: int = REPEATS) -> dict:
+def measure(table: str, fmt: str, kmax: int, repeats: int = REPEATS) -> dict:
     """Median CPU time of both writers on one table, their samples and the output size."""
     columns = (modes_columns if table == "modes" else spectrum_columns)(kmax)
     samples = {"cli": [], "reference": []}
     for _ in range(repeats):
-        seconds, text = cpu_seconds(_mode_table, columns, "json")
+        seconds, text = cpu_seconds(_mode_table, columns, fmt)
         samples["cli"].append(seconds)
-        seconds, reference = cpu_seconds(reference_mode_table, columns, "json")
+        seconds, reference = cpu_seconds(reference_mode_table, columns, fmt)
         samples["reference"].append(seconds)
         if text != reference:
-            raise SystemExit(f"{table} kmax {kmax}: the writers disagree")
+            raise SystemExit(f"{table} {fmt} kmax {kmax}: the writers disagree")
         del reference
     cli_s = statistics.median(samples["cli"])
     reference_s = statistics.median(samples["reference"])
     return {
         "table": table,
+        "format": fmt,
         "kmax": kmax,
         "bytes": len(text),
         "sha256": hashlib.sha256(text.encode()).hexdigest(),
@@ -94,15 +97,15 @@ def measure(table: str, kmax: int, repeats: int = REPEATS) -> dict:
 
 def main() -> int:
     rows = []
-    for table in ("modes", "spectrum"):
+    for table, fmt in TABLES:
         for kmax in KMAX:
-            rows.append(measure(table, kmax))
+            rows.append(measure(table, fmt, kmax))
             row = rows[-1]
-            print(f"{table} kmax {kmax}: {row['bytes'] / 1e6:.1f} MB, CLI "
+            print(f"{table} {fmt} kmax {kmax}: {row['bytes'] / 1e6:.1f} MB, CLI "
                   f"{row['cli_cpu_s']:.3f} s, reference {row['reference_cpu_s']:.3f} s, "
                   f"{row['speedup']:.1f}x", flush=True)
     report = {
-        "what": "CPU seconds to write the modes and spectrum --format json tables: "
+        "what": "CPU seconds to write the modes table and the spectrum table as json and csv: "
                 "memwave.cli._mode_table against tests/conftest.py::reference_mode_table, "
                 f"median of {REPEATS}; both texts are byte-identical",
         "inputs": {"modes": f"beta 0.3, a, b ~ N(0, 1) sine coefficients, seed {SEED}",

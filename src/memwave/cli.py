@@ -35,7 +35,6 @@ import math
 import sys
 from dataclasses import asdict
 from functools import partialmethod
-from itertools import tee
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -63,29 +62,35 @@ _KMAX_LIMIT = 512
 
 #: The spelling of every number, 17 significant digits: integers below 2**53 in
 #: full, floats round-trip exact; the non-finite are nan, inf and -inf.
-_digits = "%.17g".__mod__
+_SPELLING = "%.17g"
 
-#: JSON names of the non-finite numbers; CSV keeps the spelling of `_digits`.
+#: JSON names of the non-finite numbers; CSV keeps the spelling's own.
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def format_float(x) -> str:
-    """A number as JSON spells it: `_digits`, but NaN, Infinity and -Infinity."""
-    text = _digits(x)
+    """A number as JSON spells it: `_SPELLING`, but NaN, Infinity and -Infinity."""
+    text = _SPELLING % x
     return _JSON_NON_FINITE.get(text, text)
 
 
-def _json_cells(column):
-    """`format_float` over a column, lazily: each text is looked up by itself as key
-    and default, so only the non-finite are renamed."""
-    keys, texts = tee(map(_digits, column))
-    return map(_JSON_NON_FINITE.get, keys, texts)
-
-
-def _record(names, indent: str) -> str:
-    """Template of one JSON record at `indent`: a `"name": %s` line per name."""
-    lines = ",\n".join(f"{indent}  {json.dumps(name)}: %s" for name in names)
+def _record(specs: Dict[str, str], indent: str) -> str:
+    """Template of one JSON record at `indent`: a `"name": spec` line per name."""
+    lines = ",\n".join(f"{indent}  {json.dumps(name)}: {spec}" for name, spec in specs.items())
     return f"{indent}{{\n{lines}\n{indent}}}"
+
+
+def _json_column(column) -> tuple:
+    """(conversion spec, cells) of one JSON table column.
+
+    An all-finite column keeps its numbers and puts `_SPELLING` in the record
+    template, so the template spells them; any other column is `%s` over the
+    `format_float` texts of its numbers.
+    """
+    column = np.asarray(column)
+    if np.isfinite(column).all():
+        return _SPELLING, column.tolist()
+    return "%s", list(map(format_float, column.tolist()))
 
 
 def _report_value(value) -> str:
@@ -103,20 +108,28 @@ def _report_value(value) -> str:
 def json_dumps(fields: Dict[str, object], table: bool = False) -> str:
     """The writer of every JSON output, in key order, through one record template.
 
-    A report maps each name to one value; a table maps each name to a column
-    of numbers and is written as an array with one record per row, whose cells
-    are spelled lazily, one map per column.
+    A report maps each name to one value, spelled by `_report_value`.  A table
+    maps each name to a column of numbers (a sequence or an array) and is
+    written as an array with one record per row: an all-finite column is
+    spelled by its `_SPELLING` line in the template, any other one cell by cell
+    by `format_float`.
     """
     if not table:
-        return _record(fields, "") % tuple(map(_report_value, fields.values())) + "\n"
-    records = map(_record(fields, "  ").__mod__, zip(*map(_json_cells, fields.values())))
+        return _record(dict.fromkeys(fields, "%s"), "") % tuple(
+            map(_report_value, fields.values())) + "\n"
+    specs, columns = {}, []
+    for name, column in fields.items():
+        specs[name], cells = _json_column(column)
+        columns.append(cells)
+    records = map(_record(specs, "  ").__mod__, zip(*columns))
     return "[\n" + ",\n".join(records) + "\n]\n"
 
 
 def _csv(columns: Dict[str, Sequence]) -> str:
-    """CSV table: a header of the column names, then one templated line per row."""
-    template = ",".join(["%s"] * len(columns)) + "\n"
-    rows = zip(*(map(_digits, column) for column in columns.values()))
+    """CSV table: a header of the column names, then one line per row from a
+    `_SPELLING,...` template, whose nan, inf and -inf are CSV's own spelling."""
+    template = ",".join([_SPELLING] * len(columns)) + "\n"
+    rows = zip(*(np.asarray(column).tolist() for column in columns.values()))
     return ",".join(columns) + "\n" + "".join(map(template.__mod__, rows))
 
 
@@ -128,7 +141,7 @@ def _mode_table(columns: Dict[str, np.ndarray], fmt: str) -> str:
     """
     kmax = len(next(iter(columns.values())))
     k1, k2 = np.indices((kmax, kmax)) + 1
-    table = {name: a.ravel().tolist() for name, a in {"k1": k1, "k2": k2, **columns}.items()}
+    table = {name: a.ravel() for name, a in {"k1": k1, "k2": k2, **columns}.items()}
     return _csv(table) if fmt == "csv" else json_dumps(table, table=True)
 
 
@@ -452,16 +465,17 @@ def _config_keys(parser: argparse.ArgumentParser) -> frozenset:
     return frozenset(dests - {"config", "help", "subcommand"})
 
 
-_KNOWN_KEYS = _config_keys(_build_parser())
+#: The one parser of the process; argparse keeps no state between parses.
+_PARSER = _build_parser()
+_KNOWN_KEYS = _config_keys(_PARSER)
 _RUNNERS = {"spectrum": _run_spectrum, "gaps": _run_gaps, "ingham-check": _run_ingham_check,
             "modes": _run_modes, "observe": _run_observe, "thresholds": _run_thresholds}
 
 
 def parse_and_dispatch(argv) -> int:
     """Run one CLI invocation; returns the process exit status."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _PARSER.parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.subcommand is None:

@@ -1,8 +1,16 @@
 """The public API: every exported name, pinned.
 
 A name leaving `__all__` (or one that no longer resolves) fails here, so a
-removal is a deliberate edit of this list, not a silent side effect.
+removal is a deliberate edit of this list, not a silent side effect.  So does
+a function whose spans the benchmark reads (`BENCHMARK.json`, per-layer
+metrics named `<module>.<function>.<stat>`): its tracer wraps only public
+module-level functions, and a metric of a function that is gone reads null.
 """
+
+import importlib
+import inspect
+import json
+from pathlib import Path
 
 import pytest
 
@@ -51,3 +59,19 @@ def test_public_names_are_pinned_and_resolve(module, expected):
     assert set(module.__all__) == expected
     for name in module.__all__:
         getattr(module, name)
+
+
+def _traced_functions():
+    spec = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+    names = [metric["name"].split(".") for metric in spec["per_layer"]]
+    return sorted({(parts[0], parts[1]) for parts in names if len(parts) == 3})
+
+
+@pytest.mark.parametrize("module,function", _traced_functions(),
+                         ids=lambda name: name)
+def test_benchmark_traced_function_exists(module, function):
+    mod = importlib.import_module(f"memwave.{module}")
+    obj = getattr(mod, function, None)
+    assert not function.startswith("_")
+    assert inspect.isfunction(obj), f"memwave.{module}.{function} is not a function"
+    assert obj.__module__ == mod.__name__, f"{function} is defined in {obj.__module__}"

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import memwave.cli as cli
-from conftest import reference_json_dumps, reference_mode_table
+from conftest import reference_csv_table, reference_json_dumps, reference_mode_table
 from memwave import InitialData, KernelParams, Violation, expand, gap_constant, mode_spectrum
 from memwave.cli import format_float, load_config, parse_and_dispatch
 from memwave.errors import (
@@ -92,29 +92,51 @@ EDGE_FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
 )
 
+#: Every finite float, the edges drawn often.
+FINITE_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     1.7976931348623157e308, 1e308, -1e300, 1e17]),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+)
+
 
 class TestTableWriter:
     """The table writers against the reference writers, and value round trips."""
 
-    @given(st.lists(st.tuples(EDGE_FLOATS, EDGE_FLOATS), min_size=1, max_size=30))
-    @settings(max_examples=200, deadline=None)
-    @example([(math.nan, -0.0), (math.inf, 5e-324), (-math.inf, 1.7976931348623157e308)])
-    def test_tables_round_trip_exactly(self, rows):
-        # a column of integers beside two float columns, written as JSON and as CSV
-        columns = {"k": list(range(1, len(rows) + 1)),
-                   "x": [x for x, _ in rows], "y": [y for _, y in rows]}
+    @given(st.lists(st.tuples(FINITE_EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS),
+                    min_size=1, max_size=30),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    @example([(-0.0, math.nan, -0.0), (5e-324, math.inf, 5e-324),
+              (1e308, -math.inf, 1.7976931348623157e308)], False)
+    @example([(-0.0, 1.0, math.nan), (5e-324, -0.0, 2.0), (1e308, 3.0, 4.0)], True)
+    @example([(1.0, 2.0, math.inf), (-5e-324, -1e308, 0.5)], True)
+    @example([(1.0, -math.inf, 0.0), (-1e308, 2.0, -0.0)], False)
+    def test_tables_round_trip_exactly(self, rows, as_arrays):
+        # int64 k1, k2 columns beside an all-finite float column and two columns
+        # of any floats, as Python lists or as numpy arrays; the writers decide
+        # each column's spelling by whether it is all finite
+        n = len(rows)
+        columns = {"k1": np.arange(n, dtype=np.int64) // 4 + 1,
+                   "k2": np.arange(n, dtype=np.int64) % 4 + 1,
+                   **{name: [row[i] for row in rows] for i, name in enumerate("fxy")}}
+        if as_arrays:
+            columns = {name: np.asarray(column) for name, column in columns.items()}
         text = cli.json_dumps(columns, table=True)
         assert text == reference_json_dumps(
             [dict(zip(columns, row)) for row in zip(*columns.values())]) + "\n"
+        csv = cli._csv(columns)
+        assert csv == reference_csv_table(",".join(columns), zip(*columns.values()))
         # JSON numbers are read as floats: "-0" is negative zero, not the int 0
         records = json.loads(text, parse_int=float)
-        csv_rows = [line.split(",") for line in cli._csv(columns).splitlines()]
-        assert csv_rows[0] == ["k", "x", "y"]
-        for i, (x, y) in enumerate(rows):
-            assert records[i]["k"] == int(csv_rows[i + 1][0]) == i + 1
-            assert same_float(records[i]["x"], x) and same_float(records[i]["y"], y)
-            assert same_float(float(csv_rows[i + 1][1]), x)
-            assert same_float(float(csv_rows[i + 1][2]), y)
+        csv_rows = [line.split(",") for line in csv.splitlines()]
+        assert csv_rows[0] == ["k1", "k2", "f", "x", "y"]
+        for i in range(n):
+            for j, name in enumerate(columns):
+                want = columns[name][i]
+                assert same_float(records[i][name], want)
+                assert same_float(float(csv_rows[i + 1][j]), want)
+            assert int(csv_rows[i + 1][0]) == i // 4 + 1 and int(csv_rows[i + 1][1]) == i % 4 + 1
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_spectrum_matches_reference_writer_at_kmax_64(self, fmt, tmp_path):

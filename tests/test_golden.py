@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import memwave.cli as cli
 from memwave.cli import parse_and_dispatch
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -54,6 +55,21 @@ def test_output_matches_golden_file(name, tmp_path, capsys):
     assert _run_case(name, output) == 0
     assert capsys.readouterr().err == ""
     assert output.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("rejected", [("modes", "--kmax"), ("spectrum", "--format", "xml"),
+                                      ("--no-such-flag",), ("thresholds", "--mu", "1", "x")])
+def test_one_parser_serves_every_call(rejected, tmp_path, capsys, monkeypatch):
+    # the module's parser is built once; a call that argparse rejects (exit 2)
+    # leaves it as it was for the next call
+    monkeypatch.setattr(cli, "_build_parser", None)
+    assert parse_and_dispatch(list(rejected)) == 2
+    capsys.readouterr()
+    for name in ("spectrum_json", "modes", "gaps_gamma_table", "thresholds_theta"):
+        output = tmp_path / f"{name}.out"
+        assert _run_case(name, output) == 0
+        assert capsys.readouterr().err == ""
+        assert output.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
 
 
 if __name__ == "__main__":
