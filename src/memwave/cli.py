@@ -18,13 +18,18 @@ numbers.  Every number is spelled `"%.17g" % v`: integers in full, floats
 round-trip exact, repeated runs byte-identical.  Non-finite numbers are
 NaN/Infinity/-Infinity in JSON and nan/inf/-inf in CSV.  A report float must be
 finite, except T0 = Infinity when infeasible; otherwise the run exits 1.
+Tables are spelled by numpy: each column's distinct numbers once, with
+1e-11 < |v| < 1e17 by exact integer arithmetic (`_spell`) and the rest (zeros,
+subnormals, other magnitudes, the non-finite) by the `%` operator, then the
+rows are laid out as byte matrices; the text is the same as `%` row by row.
 
 Exit status follows the error type: 0 on success, 2 for an `errors.InputError`
 (bad input; one-line diagnostic on stderr), 1 for an `errors.CertificationFailure`
 (a certified check failed; offending datum printed); any other exception is a
 bug and propagates.  Rejected as input: non-finite numbers (`inf`, `nan`) in
 flags or family files, a horizon T whose square is 0 or infinite, or that makes
-c0 or the bound non-finite, and a mu whose load 4*(4 + 3*S) or T0 overflows.
+c0 or the bound non-finite, a mu whose load 4*(4 + 3*S) or T0 overflows, an eta
+that overflows the closed-form roots, and a sample-grid file with no numbers.
 """
 
 from __future__ import annotations
@@ -33,9 +38,10 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict
-from functools import partialmethod
-from typing import Dict, Optional, Sequence
+from functools import cache, partialmethod
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -58,7 +64,7 @@ _KMAX_LIMIT = 512
 
 
 # ---------------------------------------------------------------------------
-# deterministic serialization: one spelling rule, one row template per table
+# deterministic serialization: one spelling rule, tables spelled by numpy
 
 #: The spelling of every number, 17 significant digits: integers below 2**53 in
 #: full, floats round-trip exact; the non-finite are nan, inf and -inf.
@@ -80,17 +86,170 @@ def _record(specs: Dict[str, str], indent: str) -> str:
     return f"{indent}{{\n{lines}\n{indent}}}"
 
 
-def _json_column(column) -> tuple:
-    """(conversion spec, cells) of one JSON table column.
+# Table numbers are spelled with integer arithmetic on arrays.  A double
+# x = m * 2**q with decimal exponent E = floor(log10|x|) has the 17 digits
+# round(|x| * 10**k) = round(m * 5**k * 2**(q + k)), k = 16 - E: an exact
+# 128-bit product, rounded half-even.  5**k fits in a uint64 for k <= 27, so
+# this covers 1e-11 < |x| < 1e17 (the double 1e-11 lies below 10**-11); every
+# other number goes through `_SPELLING % x`, or `format_float` in JSON.
 
-    An all-finite column keeps its numbers and puts `_SPELLING` in the record
-    template, so the template spells them; any other column is `%s` over the
-    `format_float` texts of its numbers.
+#: Bytes of a table cell: the longest spelling is "-2.2250738585072014e-308".
+_CELL = 24
+_DIGITS = 17
+#: Decimal exponents of the exact range; 17 only by rounding's carry.
+_E_MIN, _E_MAX = -11, 17
+_POW5 = np.array([5**k for k in range(16 - _E_MIN + 1)], dtype=np.uint64)
+_LOW32 = np.uint64(0xFFFFFFFF)
+#: A cell is gathered from a source row: the last 16 digits as four 4-digit
+#: groups, the leading digit, these characters, then NUL (32 bytes in all).
+_CHARS = "-+.e0123456789"
+_SOURCE = _DIGITS + len(_CHARS) + 1
+#: Each 4-digit group as four ASCII bytes in one uint32, and its trailing zeros.
+_GROUP_ASCII = (np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10
+                + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+_GROUP_ZEROS = sum(np.arange(10**4) % 10**i == 0 for i in range(1, 5))
+
+
+def _layout(exponent: int, negative: int, digits: int) -> list:
+    """Source columns of the cell of a number with decimal exponent `exponent`,
+    sign `negative` and `digits` significant digits, laid out as `%g` does:
+    fixed for -4 <= exponent < 17, trailing zeros dropped, else d.ddde±XX."""
+    char = {c: _DIGITS + i for i, c in enumerate(_CHARS)}.__getitem__
+    order = [16, *range(16)]  # digit columns, leading digit first
+    cell = [char("-")] if negative else []
+    if 0 <= exponent < _DIGITS:
+        fraction = order[exponent + 1:digits]
+        cell += order[:exponent + 1] + ([char("."), *fraction] if fraction else [])
+    elif -4 <= exponent < 0:
+        cell += [char("0"), char(".")] + [char("0")] * (-exponent - 1) + order[:digits]
+    else:
+        cell += order[:1] + ([char("."), *order[1:digits]] if digits > 1 else [])
+        cell += map(char, "e%+03d" % exponent)
+    return cell + [_SOURCE - 1] * (_CELL - len(cell))
+
+
+@cache
+def _layouts() -> np.ndarray:
+    """Cell layouts by ((exponent - _E_MIN) * 2 + negative) * _DIGITS + digits - 1;
+    built on the first table, as reports need none."""
+    return np.array([_layout(e, negative, digits) for e in range(_E_MIN, _E_MAX + 1)
+                     for negative in (0, 1) for digits in range(1, _DIGITS + 1)], np.intp)
+
+
+def _scaled(m, q, exponent) -> tuple:
+    """floor(m * 2**q * 10**(16 - exponent)) of uint64 m < 2**53, and its round
+    and sticky bits: the 128-bit product m * 5**k from 32-bit limbs, shifted."""
+    k = 16 - exponent
+    p = _POW5[k]
+    m_hi, m_lo, p_hi, p_lo = m >> 32, m & _LOW32, p >> 32, p & _LOW32
+    ll, lh, hl = m_lo * p_lo, m_lo * p_hi, m_hi * p_lo
+    mid = (ll >> 32) + (lh & _LOW32) + (hl & _LOW32)
+    lo = (ll & _LOW32) | (mid << 32)
+    hi = m_hi * p_hi + (lh >> 32) + (hl >> 32) + (mid >> 32)
+    shift = -(q + k)
+    right = np.maximum(shift, 1).astype(np.uint64)
+    scaled = (hi << (64 - right)) | (lo >> right)
+    half = np.uint64(1) << (right - 1)
+    round_bit, sticky = (lo & half) != 0, (lo & (half - 1)) != 0
+    left = shift <= 0  # small k on a large x: an exact left shift
+    if left.any():
+        scaled[left] = lo[left] << (-shift[left]).astype(np.uint64)
+        round_bit &= ~left
+    return scaled, round_bit, sticky
+
+
+def _exact_cells(x: np.ndarray) -> np.ndarray:
+    """Cells of doubles with 1e-11 < |x| < 1e17, each `_SPELLING % x`."""
+    bits = x.view(np.uint64)
+    m = (bits & np.uint64(2**52 - 1)) | np.uint64(2**52)
+    q = (bits >> 52 & np.uint64(0x7FF)).astype(np.int64) - 1075
+    exponent = np.clip(np.floor(np.log10(np.abs(x))).astype(np.int64), _E_MIN, 16)
+    scaled, round_bit, sticky = _scaled(m, q, exponent)
+    # log10 may be one off; the truncated digits must lie in [1e16, 1e17)
+    low, high = scaled < 10**16, scaled >= 10**17
+    fix = low | high
+    if fix.any():
+        exponent += high.astype(np.int64) - low
+        scaled[fix], round_bit[fix], sticky[fix] = _scaled(m[fix], q[fix], exponent[fix])
+    scaled += round_bit & (sticky | (scaled & 1).astype(bool))
+    carry = scaled == 10**17
+    scaled[carry] = 10**16
+    exponent += carry
+    high8, low8 = np.divmod(scaled, np.uint64(10**8))
+    lead, high8 = np.divmod(high8.astype(np.uint32), np.uint32(10**8))
+    groups = (*np.divmod(high8, np.uint32(10**4)),
+              *np.divmod(low8.astype(np.uint32), np.uint32(10**4)))
+    source = np.empty((len(x), _SOURCE), np.uint8)
+    words = source.view(np.uint32)
+    for i, group in enumerate(groups):
+        words[:, i] = _GROUP_ASCII[group]
+    source[:, 16] = lead + ord("0")
+    source[:, _DIGITS:] = np.frombuffer(_CHARS.encode() + b"\0", np.uint8)
+    digits = np.ones(len(x), np.int64)
+    for i, group in enumerate(groups):
+        digits = np.where(group != 0, 4 * i + 5 - _GROUP_ZEROS[group], digits)
+    layout = ((exponent - _E_MIN) * 2 + (bits >> 63).astype(np.int64)) * _DIGITS + digits - 1
+    cells = _layouts()[layout]
+    cells += np.arange(0, source.size, _SOURCE)[:, None]
+    return source.ravel()[cells]
+
+
+#: Numbers per call of `_exact_cells`, and rows per byte matrix of `_table`.
+_BLOCK_ROWS = 4096
+
+
+def _spell(values, spell=_SPELLING.__mod__) -> np.ndarray:
+    """(n, _CELL) uint8 cells of float64 `values`, NUL-padded, each `_SPELLING % v`
+    byte for byte.  `spell` spells the numbers outside the exact range: zeros,
+    subnormals, |v| <= 1e-11, |v| >= 1e17 and the non-finite."""
+    x = np.asarray(values, dtype=np.float64)
+    magnitude = np.abs(x)
+    exact = (magnitude > 1e-11) & (magnitude < 1e17)
+    cells = np.zeros((len(x), _CELL), np.uint8)
+    index = np.flatnonzero(exact)
+    for start in range(0, len(index), _BLOCK_ROWS):
+        chunk = index[start:start + _BLOCK_ROWS]
+        cells[chunk] = _exact_cells(x[chunk])
+    other = ~exact
+    if other.any():
+        text = np.array([spell(v) for v in x[other].tolist()], dtype=f"S{_CELL}")
+        cells[other] = text.view(np.uint8).reshape(-1, _CELL)
+    return cells
+
+
+def _table(columns: Dict[str, Sequence], heads: Sequence[str], tail: str, end: str,
+           spell) -> List[str]:
+    """Texts of a table's row blocks.  A row is heads[0], the row's number of
+    the first column, heads[1], ..., then `tail`, or `end` after the last row.
+
+    Each column's distinct numbers (by bit pattern: -0.0 is not 0.0) are
+    spelled once by `_spell`, cut to the column's longest cell, and gathered
+    row by row.  A block of rows is one uint8 matrix of fragments and
+    NUL-padded cells, whose text is the matrix without its NULs.
     """
-    column = np.asarray(column)
-    if np.isfinite(column).all():
-        return _SPELLING, column.tolist()
-    return "%s", list(map(format_float, column.tolist()))
+    row, cells = "", []
+    for head, column in zip(heads, columns.values()):
+        bits, index = np.unique(np.asarray(column, dtype=np.float64).view(np.int64),
+                                return_inverse=True)
+        spelled = _spell(bits.view(np.float64), spell)
+        spelled = spelled[:, :np.count_nonzero(spelled.any(axis=0))]
+        row += head
+        cells.append((len(row), spelled, index.ravel()))
+        row += "\0" * spelled.shape[1]
+    width = max(len(tail), len(end))
+    row += tail.ljust(width, "\0")
+    n = len(cells[0][2]) if cells else 0
+    block = np.empty((min(n, _BLOCK_ROWS), len(row)), np.uint8)
+    block[:] = np.frombuffer(row.encode(), np.uint8)
+    text = []
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = block[:min(n - start, _BLOCK_ROWS)]
+        for offset, spelled, index in cells:
+            rows[:, offset:offset + spelled.shape[1]] = spelled[index[start:start + len(rows)]]
+        if start + len(rows) == n:
+            rows[-1, -width:] = np.frombuffer(end.ljust(width, "\0").encode(), np.uint8)
+        text.append(rows.tobytes().replace(b"\0", b"").decode("ascii"))
+    return text
 
 
 def _report_value(value) -> str:
@@ -106,31 +265,27 @@ def _report_value(value) -> str:
 
 
 def json_dumps(fields: Dict[str, object], table: bool = False) -> str:
-    """The writer of every JSON output, in key order, through one record template.
+    """The writer of every JSON output, in key order.
 
-    A report maps each name to one value, spelled by `_report_value`.  A table
-    maps each name to a column of numbers (a sequence or an array) and is
-    written as an array with one record per row: an all-finite column is
-    spelled by its `_SPELLING` line in the template, any other one cell by cell
-    by `format_float`.
+    A report maps each name to one value, spelled by `_report_value` into one
+    record template.  A table maps each name to a column of numbers (a
+    sequence or an array) and is written as an array with one record per row,
+    by `_table`; its non-finite numbers are NaN, Infinity and -Infinity.
     """
     if not table:
         return _record(dict.fromkeys(fields, "%s"), "") % tuple(
             map(_report_value, fields.values())) + "\n"
-    specs, columns = {}, []
-    for name, column in fields.items():
-        specs[name], cells = _json_column(column)
-        columns.append(cells)
-    records = map(_record(specs, "  ").__mod__, zip(*columns))
-    return "[\n" + ",\n".join(records) + "\n]\n"
+    *heads, tail = _record(dict.fromkeys(fields, "%s"), "  ").split("%s")
+    blocks = _table(fields, heads, tail + ",\n", tail + "\n]\n", format_float)
+    return "".join(["[\n", *blocks]) if blocks else "[]\n"
 
 
 def _csv(columns: Dict[str, Sequence]) -> str:
-    """CSV table: a header of the column names, then one line per row from a
-    `_SPELLING,...` template, whose nan, inf and -inf are CSV's own spelling."""
-    template = ",".join([_SPELLING] * len(columns)) + "\n"
-    rows = zip(*(np.asarray(column).tolist() for column in columns.values()))
-    return ",".join(columns) + "\n" + "".join(map(template.__mod__, rows))
+    """CSV table: a header of the column names, then one comma-separated line
+    per row; nan, inf and -inf are the spelling's own."""
+    heads = ["", *[","] * (len(columns) - 1)]
+    return "".join([",".join(columns) + "\n",
+                    *_table(columns, heads, "\n", "\n", _SPELLING.__mod__)])
 
 
 def _mode_table(columns: Dict[str, np.ndarray], fmt: str) -> str:
@@ -276,11 +431,16 @@ def _load_initial_data(res: _Resolver, kmax: int) -> InitialData:
     for name in ("u0", "u1"):
         path = res.get_str(name, required=True)
         try:
-            grids.append(np.loadtxt(path, delimiter=",", ndmin=2))
+            with warnings.catch_warnings():
+                # an empty file is an input error, reported below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                grids.append(np.loadtxt(path, delimiter=",", ndmin=2))
         except OSError as exc:
             raise ValidationError(name, f"cannot read {path}: {exc.strerror}")
         except ValueError as exc:
             raise ValidationError(name, f"malformed CSV grid in {path}: {exc}")
+        if not grids[-1].size:
+            raise ValidationError(name, f"no numbers in {path}")
     return InitialData.from_samples(*grids, kmax)
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComplexRegime, InputError, NegativeRadicand
+from .errors import ComplexRegime, InputError, NegativeRadicand, OutOfRange
 
 __all__ = [
     "KernelParams",
@@ -111,19 +111,24 @@ def phi_psi(params: KernelParams, lam: float):
 
     Works for scalar or ndarray lam.  Raises NegativeRadicand if the Phi
     radicand is negative, which cannot happen for eta >= 3*beta/2 (the radicand
-    is then bounded below by 1/4) but guards out-of-regime sweeps.
+    is then bounded below by 1/4) but guards out-of-regime sweeps, and
+    OutOfRange if a huge eta overflows Phi or Psi.
     """
     lam = np.asarray(lam, dtype=float)
     if np.any(lam <= 0.0):
         raise InputError("lam must be > 0")
     beta, eta = params.beta, params.eta
-    mid = 2.0 * eta * eta + 6.75 * beta * beta - 9.0 * eta * beta
-    radicand = 1.0 + mid / lam + eta**3 * (eta - beta) / lam**2
+    with np.errstate(over="ignore"):
+        eta3 = np.float64(eta) ** 3  # inf, not OverflowError, past 5.6e102
+        mid = 2.0 * eta * eta + 6.75 * beta * beta - 9.0 * eta * beta
+        radicand = 1.0 + mid / lam + eta3 * (eta - beta) / lam**2
+        psi = eta3 / (3.0 * np.sqrt(3.0 * lam**3)) + (eta - 1.5 * beta) * SQRT3 / np.sqrt(lam)
     if np.any(radicand < 0.0):
         bad = np.min(lam[np.asarray(radicand < 0.0)]) if radicand.ndim else float(lam)
         raise NegativeRadicand(f"Phi radicand negative at lam={bad}")
+    if not (np.isfinite(radicand).all() and np.isfinite(psi).all()):
+        raise OutOfRange(f"eta={eta} overflows Phi or Psi of the closed-form roots")
     phi = np.sqrt(radicand)
-    psi = eta**3 / (3.0 * np.sqrt(3.0 * lam**3)) + (eta - 1.5 * beta) * SQRT3 / np.sqrt(lam)
     if lam.ndim == 0:
         return float(phi), float(psi)
     return phi, psi

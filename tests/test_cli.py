@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -103,23 +104,29 @@ FINITE_EDGE_FLOATS = st.one_of(
 class TestTableWriter:
     """The table writers against the reference writers, and value round trips."""
 
-    @given(st.lists(st.tuples(FINITE_EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS),
+    @given(st.lists(st.tuples(FINITE_EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS, st.integers(0, 5)),
                     min_size=1, max_size=30),
+           st.lists(EDGE_FLOATS, min_size=1, max_size=4),
            st.booleans())
     @settings(max_examples=300, deadline=None)
-    @example([(-0.0, math.nan, -0.0), (5e-324, math.inf, 5e-324),
-              (1e308, -math.inf, 1.7976931348623157e308)], False)
-    @example([(-0.0, 1.0, math.nan), (5e-324, -0.0, 2.0), (1e308, 3.0, 4.0)], True)
-    @example([(1.0, 2.0, math.inf), (-5e-324, -1e308, 0.5)], True)
-    @example([(1.0, -math.inf, 0.0), (-1e308, 2.0, -0.0)], False)
-    def test_tables_round_trip_exactly(self, rows, as_arrays):
-        # int64 k1, k2 columns beside an all-finite float column and two columns
-        # of any floats, as Python lists or as numpy arrays; the writers decide
-        # each column's spelling by whether it is all finite
+    @example(rows=[(-0.0, math.nan, -0.0, 0), (5e-324, math.inf, 5e-324, 1),
+                   (1e308, -math.inf, 1.7976931348623157e308, 2)], pool=[1.0], as_arrays=False)
+    @example(rows=[(-0.0, 1.0, math.nan, 1), (5e-324, -0.0, 2.0, 0), (1e308, 3.0, 4.0, 1)],
+             pool=[math.nan], as_arrays=True)
+    @example(rows=[(1.0, 2.0, math.inf, 3), (-5e-324, -1e308, 0.5, 2)], pool=[0.1],
+             as_arrays=True)
+    @example(rows=[(1.0, -math.inf, 0.0, 4), (-1e308, 2.0, -0.0, 5)], pool=[-math.inf, 1e17],
+             as_arrays=False)
+    def test_tables_round_trip_exactly(self, rows, pool, as_arrays):
+        # int64 k1, k2 columns beside an all-finite float column, two columns of
+        # any floats and a column of many repeats, 0.0 next to -0.0, as Python
+        # lists or as numpy arrays; each column's distinct numbers are spelled once
         n = len(rows)
+        pool = [0.0, -0.0, *pool]
         columns = {"k1": np.arange(n, dtype=np.int64) // 4 + 1,
                    "k2": np.arange(n, dtype=np.int64) % 4 + 1,
-                   **{name: [row[i] for row in rows] for i, name in enumerate("fxy")}}
+                   **{name: [row[i] for row in rows] for i, name in enumerate("fxy")},
+                   "z": [pool[row[3] % len(pool)] for row in rows]}
         if as_arrays:
             columns = {name: np.asarray(column) for name, column in columns.items()}
         text = cli.json_dumps(columns, table=True)
@@ -130,7 +137,7 @@ class TestTableWriter:
         # JSON numbers are read as floats: "-0" is negative zero, not the int 0
         records = json.loads(text, parse_int=float)
         csv_rows = [line.split(",") for line in csv.splitlines()]
-        assert csv_rows[0] == ["k1", "k2", "f", "x", "y"]
+        assert csv_rows[0] == ["k1", "k2", "f", "x", "y", "z"]
         for i in range(n):
             for j, name in enumerate(columns):
                 want = columns[name][i]
@@ -165,6 +172,70 @@ class TestTableWriter:
         columns = {"C_re": e.C.real, "C_im": e.C.imag, "R": e.R, "re_omega": e.omega.real,
                    "im_omega": e.omega.imag, "r": e.r}
         assert out.read_text() == reference_mode_table(columns, "json")
+
+
+def spelling_cells(texts):
+    """The NUL-padded cells `_spell` must return for these texts."""
+    return np.array(list(texts), dtype=f"S{cli._CELL}").view(np.uint8).reshape(-1, cli._CELL)
+
+
+def assert_spelled(values):
+    """`_spell` equals `_SPELLING % v` (CSV) and `format_float` (JSON) byte for byte."""
+    values = np.asarray(values, dtype=np.float64)
+    for spell in (cli._SPELLING.__mod__, format_float):
+        got, want = cli._spell(values, spell), spelling_cells(map(spell, values.tolist()))
+        bad = np.flatnonzero((got != want).any(axis=1))
+        assert not bad.size, [(values[i], bytes(got[i]), bytes(want[i])) for i in bad[:5]]
+
+
+def tie_dyadics(rng, per_k=4000):
+    """Odd j * 2**-k whose exact decimal has 18 significant digits, the last a 5:
+    a tie at the 17th digit, for k from 2 to 24, both signs."""
+    out = []
+    for k in range(2, 25):
+        low, high = -(-10**17 // 5**k), min(10**18 // 5**k, 2**53)
+        j = rng.integers(low // 2, high // 2, size=per_k) * 2 + 1
+        out.append(np.ldexp(j.astype(np.float64), -k))
+    x = np.concatenate(out)
+    return np.concatenate([x, -x])
+
+
+class TestSpeller:
+    """The vectorised speller of table numbers against the `%` operator, at scale."""
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(15)
+        assert_spelled(rng.integers(0, 2**64, size=10**6, dtype=np.uint64).view(np.float64))
+
+    def test_dyadic_rationals(self):
+        rng = np.random.default_rng(16)
+        ties = tie_dyadics(rng)
+        for x in ties[::97].tolist():  # the cases are exact 17th-digit ties
+            digits = Decimal(x).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+        j = rng.integers(1, 2**53, size=10**5).astype(np.float64)
+        assert_spelled(np.concatenate([ties, np.ldexp(j, rng.integers(-120, 60, size=j.size))]))
+
+    def test_powers_of_ten_and_neighbours(self):
+        tens = np.array([float(f"1e{k}") for k in range(-30, 31)])
+        x = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+        assert_spelled(np.concatenate([x, -x]))
+
+    def test_integers_up_to_2_63(self):
+        rng = np.random.default_rng(17)
+        powers = 2.0 ** np.arange(64)
+        x = np.concatenate([np.arange(-1000, 10**5), np.floor(2.0 ** rng.uniform(0, 63, 10**5)),
+                            powers, powers - 1, powers + 1,
+                            rng.integers(0, 2**63, size=10**4).astype(np.float64)])
+        assert_spelled(x)
+
+    def test_zeros_subnormals_and_the_non_finite(self):
+        rng = np.random.default_rng(18)
+        edges = [1e-11, 1e17, 2.2250738585072014e-308, 1e308]
+        x = [0.0, -0.0, 5e-324, 1e308, math.nan, -math.nan, math.inf, -math.inf, *edges,
+             *np.nextafter(edges, 0.0), *np.nextafter(edges, np.inf)]
+        subnormals = rng.integers(1, 2**52, size=1000, dtype=np.uint64).view(np.float64)
+        assert_spelled(np.concatenate([x, np.negative(x), subnormals, -subnormals]))
 
 
 class TestSpectrumCommand:
@@ -284,6 +355,19 @@ class TestModesCommand:
             ["modes", "--beta", "0.1", "--kmax", "4", "--u0", u0, "--u1", u1],
             capsys)
         assert status == 2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flag", ["u0", "u1"])
+    def test_empty_grid_file_names_flag_and_path(self, flag, tmp_path, capsys):
+        # numpy warns of an empty file; the run must instead say which file it is
+        grids = dict(zip(("u0", "u1"), write_grids(tmp_path)))
+        grids[flag] = str(tmp_path / "empty.csv")
+        open(grids[flag], "w").close()
+        for argv in (["modes", "--beta", "0.1", "--kmax", "3"],
+                     ["observe", "--beta", "0.1", "--T", "50", "--kmax", "3", "--mu", "1"]):
+            status, out, err = run(argv + ["--u0", grids["u0"], "--u1", grids["u1"]], capsys)
+            assert status == 2 and not out
+            assert err == f"error: {flag}: no numbers in {grids[flag]}\n"
 
 
 class TestObserveCommand:
@@ -496,6 +580,18 @@ class TestRejectedNumbers:
             assert status == 2, argv[0]
             assert err.startswith("error: mu=") and "T=" not in err
             assert not out.exists()
+
+    @pytest.mark.parametrize("eta", ["1e78", "1e102", "1e200"])
+    def test_huge_eta_exits_2(self, eta, tmp_path, capsys):
+        # the Phi radicand overflows to inf (and eta**3 itself from 5.6e102 on):
+        # no NaN table, no OverflowError
+        out = tmp_path / "out"
+        status, _, err = run(["spectrum", "--beta", "0.5", "--eta", eta, "--kmax", "2",
+                              "--output", str(out)], capsys)
+        assert status == 2
+        assert err.startswith(f"error: eta={float(eta)!r} ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_family_gamma_must_be_positive(self, tmp_path, capsys):
         family = json.loads(open(write_family(tmp_path)).read())
