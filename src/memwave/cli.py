@@ -23,13 +23,22 @@ Tables are spelled by numpy: each column's distinct numbers once, with
 subnormals, other magnitudes, the non-finite) by the `%` operator, then the
 rows are laid out as byte matrices; the text is the same as `%` row by row.
 
+Sample grids are read by `_read_grid`, the speller's inverse, when plain:
+lines of comma-separated numbers [+-]?d*(.d*)?([eE][+-]?d{1,3})? of 1 to 24
+significand digits, the same count on every line, the final newline
+optional.  The result equals `np.loadtxt(path, delimiter=",", ndmin=2)` bit
+for bit; any other file (spaces, CR, comments, blank lines, ragged rows, empty
+fields, nan/inf, a BOM, non-ASCII bytes, longer numbers) goes to `np.loadtxt`.
+
 Exit status follows the error type: 0 on success, 2 for an `errors.InputError`
 (bad input; one-line diagnostic on stderr), 1 for an `errors.CertificationFailure`
 (a certified check failed; offending datum printed); any other exception is a
 bug and propagates.  Rejected as input: non-finite numbers (`inf`, `nan`) in
 flags or family files, a horizon T whose square is 0 or infinite, or that makes
 c0 or the bound non-finite, a mu whose load 4*(4 + 3*S) or T0 overflows, an eta
-that overflows the closed-form roots, and a sample-grid file with no numbers.
+that overflows the closed-form roots, a sample-grid file with no numbers, a
+non-finite sample (flag, file, row and column named), a grid whose sine
+coefficients overflow, and initial data whose observe inequality overflows.
 """
 
 from __future__ import annotations
@@ -54,7 +63,7 @@ from .errors import (
 )
 from .gap_analysis import audit_gaps, gap_constant
 from .ingham import ExponentFamily, check_hypotheses, energy_lower_bound
-from .modes import InitialData, expand
+from .modes import InitialData, expand, sine_coefficients
 from .observability import constant_S, thresholds, verify_observability, ObservabilityConfig
 from .spectrum import BETA_MAX, KernelParams, _vieta_residuals, mode_spectrum
 
@@ -136,16 +145,28 @@ def _layouts() -> np.ndarray:
                      for negative in (0, 1) for digits in range(1, _DIGITS + 1)], np.intp)
 
 
+def _mul128(a, b) -> tuple:
+    """(high, low) uint64 words of the 128-bit products a * b of uint64 arrays,
+    from 32-bit limbs: the one wide product of the speller and the grid reader."""
+    a_hi, a_lo, b_hi, b_lo = a >> 32, a & _LOW32, b >> 32, b & _LOW32
+    low = a_lo * b_lo
+    middle = a_lo * b_hi
+    middle += low >> 32
+    cross = a_hi * b_lo
+    cross += middle & _LOW32
+    high = a_hi * b_hi
+    high += middle >> 32
+    high += cross >> 32
+    low &= _LOW32
+    low |= cross << 32
+    return high, low
+
+
 def _scaled(m, q, exponent) -> tuple:
     """floor(m * 2**q * 10**(16 - exponent)) of uint64 m < 2**53, and its round
-    and sticky bits: the 128-bit product m * 5**k from 32-bit limbs, shifted."""
+    and sticky bits: the 128-bit product m * 5**k, shifted."""
     k = 16 - exponent
-    p = _POW5[k]
-    m_hi, m_lo, p_hi, p_lo = m >> 32, m & _LOW32, p >> 32, p & _LOW32
-    ll, lh, hl = m_lo * p_lo, m_lo * p_hi, m_hi * p_lo
-    mid = (ll >> 32) + (lh & _LOW32) + (hl & _LOW32)
-    lo = (ll & _LOW32) | (mid << 32)
-    hi = m_hi * p_hi + (lh >> 32) + (hl >> 32) + (mid >> 32)
+    hi, lo = _mul128(m, _POW5[k])
     shift = -(q + k)
     right = np.maximum(shift, 1).astype(np.uint64)
     scaled = (hi << (64 - right)) | (lo >> right)
@@ -320,6 +341,212 @@ def _write_output(text: str, path: Optional[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
+# exact grid reading, the inverse of the speller
+
+# A plain grid is lines of comma-separated tokens [+-]?d*(.d*)?([eE][+-]?d{1,3})?
+# with 1 to 24 significand digits, the same number on every line, and an
+# optional final newline.  The separators, points, signs and exponent markers
+# are found in the bytes of a block of lines at once.  A token's significand
+# digits, right-aligned in 24 bytes with the point taken out and '0's in
+# front, are three uint64 words of eight ASCII digits, each checked and
+# converted by SWAR arithmetic.  Its significand w < 10**19 and decimal
+# exponent q give the double nearest w * 10**q by the Eisel-Lemire step: the
+# top word of the normalised w times a 128-bit truncation of 5**q, a second
+# product only when the first cannot decide, and round half-even only where
+# a tie is possible (Lemire, "Number parsing at a gigabyte per second", 2021;
+# Mushtak and Lemire, "Fast number parsing without fallback", 2023).  Tokens
+# with more than 19 significant digits, a subnormal or infinite result go
+# through `float`, the correctly rounded conversion `np.loadtxt` uses too.
+
+_ASCII_ZEROS = np.uint64(0x3030303030303030)
+_ABOVE_NINE = np.uint64(0x4646464646464646)
+_HIGH_BITS = np.uint64(0x8080808080808080)
+#: Most significand digits and exponent digits of a token.
+_SIGNIFICAND, _EXPONENT = 24, 3
+#: Decimal exponents of the 5**q words; a 19-digit significand times 10**q is
+#: subnormal below them and infinite above them.
+_Q_MIN, _Q_MAX = -342, 308
+
+
+def _significand_masks() -> np.ndarray:
+    """Byte masks of the significand window's three words, by digits held * 25
+    + column after the point (0 without one): in rows 0-2 the bytes before
+    the point, which move one column on, and in rows 3-5 the digits' bytes."""
+    held, after_point = np.divmod(np.arange((_SIGNIFICAND + 1) ** 2), _SIGNIFICAND + 1)
+    column = np.arange(_SIGNIFICAND)
+    keep = np.concatenate([column < after_point[:, None],
+                           column >= _SIGNIFICAND - held[:, None]], axis=1)
+    return np.where(keep, 0xFF, 0).astype(np.uint8).view("<u8").T.copy()
+
+
+_SIGNIFICAND_MASKS = _significand_masks()
+
+
+@cache
+def _pow5_128(q: int) -> tuple:
+    """(high, low) words of the top 128 bits of 5**q, or of 2**b // 5**-q + 1,
+    normalised to [2**127, 2**128); made on first use, as most grids need few q."""
+    if q >= 0:
+        c = 5**q << 128 >> (5**q).bit_length()
+    else:
+        z = (5**-q).bit_length()
+        c = (1 << (z + 127 if q >= -27 else 2 * z + 128)) // 5**-q + 1
+        c >>= max(c.bit_length() - 128, 0)
+    return c >> 64, c & (2**64 - 1)
+
+
+def _nearest_doubles(w, q) -> tuple:
+    """Bit patterns of the doubles nearest w * 10**q, uint64 1 <= w < 10**19 and
+    _Q_MIN <= q <= _Q_MAX, and where they are normal and finite."""
+    # leading zeros from the float64 exponent of w, one short where the
+    # conversion rounds w up to a power of 2
+    lz = (1086 - (w.astype(np.float64).view(np.uint64) >> 52)).astype(np.uint64)
+    w = w << lz
+    short = 1 - (w >> 63)
+    w <<= short
+    lz += short
+    low = int(q.min())
+    powers = np.array([_pow5_128(k) for k in range(low, int(q.max()) + 1)], np.uint64)
+    row = q - low
+    hi, lo = _mul128(w, powers[:, 0].take(row))
+    near = np.flatnonzero(hi & 0x1FF == 0x1FF)
+    if near.size:  # the truncated table may hide a carry into the kept bits
+        cross = _mul128(w[near], powers[:, 1].take(row[near]))[0]
+        lo[near] += cross
+        hi[near] += lo[near] < cross
+    upper = hi >> 63
+    mantissa = hi >> (upper + 9)
+    exponent = ((217706 * q) >> 16) + (upper - lz).view(np.int64) + 1086
+    # a tie needs an exact product, so 5**|q| within 64 bits: -4 <= q <= 23
+    tie = np.flatnonzero(lo <= 1)
+    tie = tie[(q[tie] >= -4) & (q[tie] <= 23) & (mantissa[tie] & 3 == 1)
+              & (mantissa[tie] << (upper[tie] + 9) == hi[tie])]
+    mantissa[tie] -= 1
+    mantissa += mantissa & 1
+    mantissa >>= 1
+    # the implicit bit adds one to the exponent field, a carry to 2**53 one more
+    bits = ((exponent - 1) << 52).view(np.uint64) + mantissa
+    return bits, (exponent > 0) & (bits < 0x7FF << 52)
+
+
+#: Bytes of whole lines parsed at a time, about 6000 tokens: the fastest in
+#: paired timings inside `observe` and `modes` ops (scripts/time_grid_read.py).
+#: From 256 KiB on, an observe op page-faults the block's temporaries afresh.
+_GRID_BLOCK = 1 << 17
+
+
+def _read_grid(data: bytes) -> Optional[np.ndarray]:
+    """The float64 matrix `np.loadtxt(path, delimiter=",", ndmin=2)` reads from
+    the bytes of a plain grid, bit for bit; None for any other file."""
+    if not data:
+        return None
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    cols = data.count(b",", 0, data.index(b"\n")) + 1
+    text = b"0" * _SIGNIFICAND + data  # every significand window lies inside it
+    buf = np.frombuffer(text, np.uint8)
+    windows = np.ndarray((len(text) - _SIGNIFICAND + 1,), f"V{_SIGNIFICAND}", text, strides=(1,))
+    blocks = []
+    start = _SIGNIFICAND
+    while start < len(text):
+        end = text.rfind(b"\n", start, start + _GRID_BLOCK) + 1 or text.index(b"\n", start) + 1
+        values = _read_lines(text, buf, windows, start, end, cols)
+        if values is None:
+            return None
+        blocks.append(values)
+        start = end
+    return np.concatenate(blocks).reshape(-1, cols)
+
+
+def _read_lines(text: bytes, buf, windows, start: int, end: int, cols: int):
+    """Values of the tokens of text[start:end], whole lines of `cols` tokens, or
+    None when a token or line is outside the plain grammar; `buf` is the text
+    as bytes and windows[i] its _SIGNIFICAND bytes from i."""
+    chunk = buf[start:end]
+    marks = np.flatnonzero((chunk < 0x30) | (chunk | 0x20 == 0x65))
+    kind = chunk[marks]
+    sep = np.flatnonzero((kind == 0x2C) | (kind == 0x0A))
+    ends = marks[sep]
+    n = len(ends)
+    newline = kind[sep] == 0x0A
+    if n % cols or np.count_nonzero(newline) * cols != n or not newline[cols - 1::cols].all():
+        return None
+    starts = np.empty_like(ends)
+    starts[0], starts[1:] = 0, ends[:-1] + 1
+    # A token's marks are a leading sign, a point, an exponent marker and its
+    # sign, each optional and in this order, then the separator: every mark
+    # must be one of these, the marker followed by its sign or the separator.
+    first = chunk[starts]
+    negative = first == 0x2D
+    lead = negative | (first == 0x2B)
+    exp = np.flatnonzero(kind | 0x20 == 0x65)
+    exp_negative, exp_sign = kind[exp + 1] == 0x2D, (kind[exp + 1] == 0x2D) | (kind[exp + 1] == 0x2B)
+    after = exp + 1 + exp_sign
+    if not ((kind[after] == 0x2C) | (kind[after] == 0x0A)).all():
+        return None
+    token = np.empty(len(marks), np.intp)
+    token[sep] = np.arange(n)
+    with_exp = token[after]
+    mark, mantissa_end = ends.copy(), sep.copy()
+    mark[with_exp], mantissa_end[with_exp] = marks[exp], exp
+    before = np.empty_like(sep)  # index of the mark before each token's marks
+    before[0], before[1:] = -1, sep[:-1]
+    point = mantissa_end - 1
+    points = (kind[point] == 0x2E) & (point > before)
+    fraction = np.where(points, mark - marks[point] - 1, 0)
+    exp_marks = np.zeros(n, np.intp)
+    exp_marks[with_exp] = 1 + exp_sign
+    exp_digits = ends[with_exp] - mark[with_exp] - 1 - exp_sign
+    digits = mark - starts - lead - points
+    if ((sep - before != 1 + lead + points + exp_marks).any()
+            or (marks[exp + 1][exp_sign] != marks[exp][exp_sign] + 1).any()
+            or ((digits < 1) | (digits > _SIGNIFICAND)).any()
+            or ((exp_digits < 1) | (exp_digits > _EXPONENT)).any()):
+        return None
+    # exponents: their last three bytes, the ones before the digits taken as 0
+    last = chunk[ends[with_exp, None] - [3, 2, 1]] - 0x30
+    last[np.arange(_EXPONENT) < _EXPONENT - exp_digits[:, None]] = 0
+    q = -fraction
+    q[with_exp] += np.where(exp_negative, -1, 1) * (last.astype(np.intp) @ [100, 10, 1])
+    # the significand window ending at the marker, its point taken out and the
+    # bytes before its digits made '0'; 24 digits and a point after the first
+    # leave that digit outside, checked on its own
+    wide = np.flatnonzero((digits + points > _SIGNIFICAND) & (fraction < _SIGNIFICAND))
+    held = digits.copy()
+    held[wide] -= 1
+    masks = _SIGNIFICAND_MASKS.take(held * (_SIGNIFICAND + 1) + (_SIGNIFICAND - fraction) * points,
+                                    axis=1)
+    w = windows[mark + (start - _SIGNIFICAND)].view("<u8").reshape(n, 3).T.copy()
+    moved = w << 8
+    moved[1:] |= w[:2] >> 56
+    w ^= (w ^ moved) & masks[:3]
+    w = _ASCII_ZEROS ^ ((w ^ _ASCII_ZEROS) & masks[3:])
+    d = w - _ASCII_ZEROS
+    if (((w + _ABOVE_NINE | d) & _HIGH_BITS).any() or (last > 9).any()
+            or (chunk[starts[wide] + lead[wide]] - 0x30 > 9).any()):
+        return None
+    d = d * 10 + (d >> 8)
+    d = ((d & 0x000000FF000000FF) * (100 + (1000000 << 32))
+         + (d >> 16 & 0x000000FF000000FF) * (1 + (10000 << 32))) >> 32
+    significand = d[0] * 10**16 + d[1] * 10**8 + d[2]
+    fits = d[0] < 1000  # at most 19 significant digits
+    fits[wide] = False
+    zero = fits & (significand == 0)
+    exact = fits & ~zero & (q >= _Q_MIN) & (q <= _Q_MAX)
+    if not exact.all():
+        significand[~exact], q[~exact] = 1, 0
+    bits, normal = _nearest_doubles(significand, q)
+    exact &= normal
+    if not exact.all():
+        bits[~exact] = 0
+    bits |= negative.astype(np.uint64) << 63
+    values = bits.view(np.float64)
+    for i in np.flatnonzero(~(exact | zero)).tolist():
+        values[i] = float(text[start + starts[i]:start + ends[i]])
+    return values
+
+
+# ---------------------------------------------------------------------------
 # config file and flag merging
 
 
@@ -426,22 +653,41 @@ class _Resolver:
 
 
 def _load_initial_data(res: _Resolver, kmax: int) -> InitialData:
-    """Initial data from the CSV sample grids named by the u0 and u1 flags."""
-    grids = []
+    """Initial data from the CSV sample grids named by the u0 and u1 flags.
+
+    A plain grid is read by `_read_grid`, any other file by `np.loadtxt`.  A
+    sample that is not finite, or sine coefficients that overflow, are input
+    errors naming the flag and the file."""
+    grids = {}
     for name in ("u0", "u1"):
         path = res.get_str(name, required=True)
         try:
-            with warnings.catch_warnings():
-                # an empty file is an input error, reported below
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                grids.append(np.loadtxt(path, delimiter=",", ndmin=2))
+            with open(path, "rb") as handle:
+                grid = _read_grid(handle.read())
+            if grid is None:
+                with warnings.catch_warnings():
+                    # an empty file is an input error, reported below
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    grid = np.loadtxt(path, delimiter=",", ndmin=2)
         except OSError as exc:
             raise ValidationError(name, f"cannot read {path}: {exc.strerror}")
         except ValueError as exc:
             raise ValidationError(name, f"malformed CSV grid in {path}: {exc}")
-        if not grids[-1].size:
+        if not grid.size:
             raise ValidationError(name, f"no numbers in {path}")
-    return InitialData.from_samples(*grids, kmax)
+        bad = np.flatnonzero(~np.isfinite(grid))
+        if bad.size:
+            row, col = divmod(int(bad[0]), grid.shape[1])
+            raise ValidationError(name, f"sample {grid[row, col]} at row {row + 1}, "
+                                        f"column {col + 1} of {path} is not finite")
+        grids[name] = path, grid
+    coefficients = []
+    for name, (path, grid) in grids.items():
+        with np.errstate(over="ignore", invalid="ignore"):
+            coefficients.append(sine_coefficients(grid, kmax))
+        if not np.isfinite(coefficients[-1]).all():
+            raise ValidationError(name, f"the sine coefficients of {path} overflow")
+    return InitialData(*coefficients, kmax)
 
 
 def _run_spectrum(res: _Resolver, output: Optional[str]) -> None:

@@ -204,6 +204,17 @@ def weighted_coefficient_sum(expansion: ModeExpansion, T: float) -> float:
     return float(np.sum(expansion.lam * weights))
 
 
+def _sides(expansion: ModeExpansion, T: float, c0: float) -> tuple:
+    """(lhs, rhs_sum, margin) of the inequality, overflowing to inf silently."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            lhs = boundary_trace_energy(expansion, T)
+        except OverflowError:  # math.fsum of finite parts
+            lhs = math.inf
+        rhs_sum = weighted_coefficient_sum(expansion, T)
+    return lhs, rhs_sum, lhs - c0 * rhs_sum
+
+
 def verify_observability(config: ObservabilityConfig, data: InitialData) -> ObservabilityReport:
     """Assemble the full verdict for one configuration and data set.
 
@@ -221,9 +232,17 @@ def verify_observability(config: ObservabilityConfig, data: InitialData) -> Obse
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NotPositiveWarning)
         c0 = observability_constant(config.T, config.beta, S)
-    lhs = boundary_trace_energy(expansion, config.T)
-    rhs_sum = weighted_coefficient_sum(expansion, config.T)
-    margin = lhs - c0 * rhs_sum
+    lhs, rhs_sum, margin = _sides(expansion, config.T, c0)
+    if not all(map(math.isfinite, (lhs, rhs_sum, margin))):
+        # Both sides are quadratic in the data: if the data scaled to a peak
+        # of about 1 (by a power of 2) gives finite ones, its scale is the cause.
+        peak = max(np.abs(data.a).max(), np.abs(data.b).max())
+        scale = 2.0 ** -math.frexp(peak)[1]
+        scaled = InitialData(a=data.a * scale, b=data.b * scale, kmax=data.kmax)
+        if all(map(math.isfinite, _sides(expand(params, scaled, config.kmax), config.T, c0))):
+            raise OutOfRange(
+                f"initial data: lhs={lhs}, rhs_sum={rhs_sum}, margin={margin} overflow "
+                f"float64; the data's scale (peak coefficient {peak}) is too large")
     below_threshold = not (config.T > t0)
     infeasible = config.beta >= beta0
     verdict = (

@@ -1,9 +1,14 @@
 """Subcommand behavior, formats, config merging, exit codes, determinism."""
 
 import dataclasses
+import io
 import json
 import math
-from decimal import Decimal
+import subprocess
+import sys
+import warnings
+from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,6 +243,176 @@ class TestSpeller:
         assert_spelled(np.concatenate([x, np.negative(x), subnormals, -subnormals]))
 
 
+def loadtxt_bytes(data):
+    """The oracle of the grid reader: `np.loadtxt` of the same bytes."""
+    return np.loadtxt(io.BytesIO(data), delimiter=",", ndmin=2)
+
+
+def grid_bytes(tokens, cols):
+    """A grid of the tokens, `cols` to a line."""
+    return "".join(",".join(tokens[i:i + cols]) + "\n" for i in range(0, len(tokens), cols)).encode()
+
+
+def assert_read_like_loadtxt(data):
+    """`_read_grid` reads the bytes as `np.loadtxt` does, bit for bit."""
+    got, want = cli._read_grid(data), loadtxt_bytes(data)
+    assert got is not None
+    assert got.shape == want.shape
+    bad = np.flatnonzero(got.view(np.uint64).ravel() != want.view(np.uint64).ravel())
+    tokens = data.replace(b"\n", b",").split(b",")
+    assert not bad.size, [(tokens[i], got.flat[i], want.flat[i]) for i in bad[:5]]
+
+
+def finite_bit_patterns(rng, size):
+    x = rng.integers(0, 2**64, size=size, dtype=np.uint64).view(np.float64)
+    return x[np.isfinite(x)]
+
+
+def halfway_decimals(rng, per_exponent=2000):
+    """Decimals of at most 19 digits exactly halfway between adjacent doubles:
+    (2m + 1) * 2**(e - 1) for m in [2**52, 2**53), e from -2 to 10."""
+    out = []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for e in range(-2, 11):
+            for m in rng.integers(2**52, 2**53, size=per_exponent).tolist():
+                out.append(Decimal(2 * m + 1) * Decimal(2) ** (e - 1))
+    return out
+
+
+#: Files outside the plain grammar: `_read_grid` leaves them to `np.loadtxt`.
+FALLBACK_GRIDS = {
+    "crlf": b"1,2\r\n3,4\r\n",
+    "spaces": b"1, 2\n3, 4\n",
+    "comment": b"# grid\n1,2\n3,4\n",
+    "blank line": b"1,2\n\n3,4\n",
+    "ragged": b"1,2\n3\n",
+    "empty field": b"1,,2\n3,4,5\n",
+    "bom": b"\xef\xbb\xbf1,2\n3,4\n",
+    "non-utf-8": b"1,2\n3,\xe9\n",
+    "nan": b"1,nan\n3,4\n",
+    "inf": b"1,-inf\n3,4\n",
+    "25 digits": b"1,2\n3,1234567890123456789012345\n",
+    "25 digits, point": b"1,2\n3,0.123456789012345678901234\n",
+    "4-digit exponent": b"1,2\n3,1e0005\n",
+    "hex": b"1,2\n3,0x10\n",
+    "underscore": b"1,2\n3,1_000\n",
+    "two points": b"1,2\n3,1.2.3\n",
+    "sign inside": b"1,2\n3,1-2\n",
+    "bare exponent": b"1,2\n3,1e\n",
+    "no digits": b"1,2\n3,-.e5\n",
+    "blank": b"\n",
+}
+
+
+class TestGridReader:
+    """The plain-grid reader against `np.loadtxt`, at scale."""
+
+    @pytest.mark.parametrize("spelling", ["%.17g", "repr", "%.15g", "%.18e"])
+    def test_random_bit_patterns(self, spelling):
+        rng = np.random.default_rng(["%.17g", "repr", "%.15g", "%.18e"].index(spelling))
+        x = finite_bit_patterns(rng, 10**6 + 1000)[:10**6]
+        spell = repr if spelling == "repr" else spelling.__mod__
+        assert_read_like_loadtxt(grid_bytes([spell(v) for v in x.tolist()], 1000))
+
+    def test_realistic_magnitudes(self):
+        rng = np.random.default_rng(20)
+        x = rng.standard_normal(2 * 10**5) * 10.0 ** rng.integers(-12, 12, size=2 * 10**5)
+        for spell in ("%.17g".__mod__, repr, "%.15g".__mod__, "%.6g".__mod__, "%.16e".__mod__):
+            assert_read_like_loadtxt(grid_bytes([spell(v) for v in x.tolist()], 400))
+
+    def test_halfway_decimals(self):
+        ties = halfway_decimals(np.random.default_rng(21))
+        for tie in ties[::101]:
+            assert len(tie.normalize().as_tuple().digits) <= 19
+            low = Decimal(float(tie))
+            assert abs(tie - low) * 2 == Decimal(math.ulp(float(tie)))
+        texts = [f"{tie:f}" for tie in ties] + [f"{tie:e}" for tie in ties]
+        texts += ["-" + text for text in texts[:len(texts) // 2]]
+        assert_read_like_loadtxt(grid_bytes(texts, 100))
+
+    def test_mantissas_of_20_to_24_digits(self):
+        rng = np.random.default_rng(22)
+        texts = []
+        for digits in rng.integers(20, 25, size=20000).tolist():
+            mantissa = "".join(map(str, rng.integers(0, 10, size=digits)))
+            point = int(rng.integers(0, digits + 1))
+            exponent = int(rng.integers(-330, 300))
+            texts.append(f"{mantissa[:point]}.{mantissa[point:]}e{exponent}".replace(".e", "e"))
+        assert_read_like_loadtxt(grid_bytes(texts, 100))
+
+    def test_edges_of_the_range(self):
+        rng = np.random.default_rng(23)
+        subnormals = rng.integers(1, 2**52, size=1000, dtype=np.uint64).view(np.float64)
+        texts = [*map(repr, subnormals.tolist()), *map("%.17g".__mod__, subnormals.tolist()),
+                 "4.9e-324", "5e-324", "2.4703282292062327e-324", "2.4703282292062328e-324",
+                 "2.2250738585072011e-308", "2.2250738585072014e-308", "1e308",
+                 "1.7976931348623157e308", "1.7976931348623158e308", "1.7976931348623159e308",
+                 "2e308", "1e-400", "9999999999999999999e-343", "1e-342", "1e308", "1e309"]
+        texts += ["-" + text for text in texts]
+        assert_read_like_loadtxt(grid_bytes(texts, len(texts) // 2))
+
+    @pytest.mark.parametrize("data", [
+        b"-0,+0,0.000,-0e5,-.0\n+1.5,1E5,1e+5,1e-005,-1E-5\n",
+        b".5,5.,-.5,+5.,0.5\n00012.5000,0.000123,-0000.5,007,1.e3\n",
+        b"1,2,3",
+        b"7",
+        b"1\n2\n3\n",
+        b"0.1,0.2,0.3\n",
+        b"123456789012345678901234,1.00000000000000000000000,12345678901234567890.123\n",
+        b"9007199254740993,9007199254740995,18014398509481986,18014398509481990\n",
+    ], ids=["signs-zeros-exponents", "points-leading-zeros", "one-row-no-newline",
+            "one-number-no-newline", "one-column", "one-row", "24-digits", "integer-ties"])
+    def test_plain_spellings(self, data):
+        assert_read_like_loadtxt(data)
+
+    def test_golden_grids_and_blocks(self, monkeypatch):
+        golden = Path(__file__).resolve().parent / "golden"
+        for name in ("u0.csv", "u1.csv"):
+            assert_read_like_loadtxt((golden / name).read_bytes())
+        # a line longer than a block is a block of its own
+        monkeypatch.setattr(cli, "_GRID_BLOCK", 64)
+        assert_read_like_loadtxt(grid_bytes(["%.17g" % v for v in np.linspace(-1, 1, 300)], 30))
+
+    @pytest.mark.parametrize("name", FALLBACK_GRIDS)
+    def test_other_files_fall_back_to_loadtxt(self, name, tmp_path, monkeypatch, capsys):
+        data = FALLBACK_GRIDS[name]
+        assert cli._read_grid(data) is None
+        path = tmp_path / "grid.csv"
+        path.write_bytes(data)
+        seen = []
+
+        def capture(grid, kmax):
+            seen.append(grid)
+            raise InputError("captured")
+
+        monkeypatch.setattr(cli, "sine_coefficients", capture)
+        status, _, err = run(["modes", "--beta", "0.1", "--kmax", "1", "--u0", str(path),
+                              "--u1", str(path)], capsys)
+        assert status == 2
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # loadtxt warns of an empty file
+                want = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            assert err == f"error: u0: malformed CSV grid in {path}: {exc}\n"
+            return
+        if not want.size:
+            assert err == f"error: u0: no numbers in {path}\n"
+        elif not np.isfinite(want).all():
+            assert err.startswith("error: u0: sample ") and "is not finite" in err
+        else:
+            assert seen[0].view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_powers_of_5_made_on_first_use(self):
+        code = ("import memwave.cli as cli; made = cli._pow5_128.cache_info().currsize; "
+                "cli._read_grid(b'1.5,2e-3\\n'); print(made, cli._pow5_128.cache_info().currsize)")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+                             capture_output=True, text=True, check=True).stdout
+        assert out.split() == ["0", "3"]  # q from -3 to -1
+
+
 class TestSpectrumCommand:
     def test_memoryless_csv(self, capsys):
         status, out, _ = run(
@@ -370,6 +545,62 @@ class TestModesCommand:
             assert err == f"error: {flag}: no numbers in {grids[flag]}\n"
 
 
+def write_grids_with(tmp_path, flag, row, col, token, m=5):
+    """write_grids on an m x m grid, with one sample of the `flag` grid spelled `token`."""
+    grids = dict(zip(("u0", "u1"), write_grids(tmp_path, m=m)))
+    lines = Path(grids[flag]).read_text().splitlines()
+    cells = lines[row].split(",")
+    cells[col] = token
+    lines[row] = ",".join(cells)
+    Path(grids[flag]).write_text("\n".join(lines) + "\n")
+    return grids
+
+
+BOTH_COMMANDS = (["modes", "--beta", "0.1", "--kmax", "2"],
+                 ["observe", "--beta", "0.1", "--T", "50", "--kmax", "2", "--mu", "1"])
+
+
+class TestGridSamples:
+    """Samples that break the arithmetic are input errors naming the flag and file."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["u0", "u1"])
+    def test_non_finite_sample_named_by_row_and_column(self, flag, token, tmp_path, capsys):
+        grids = write_grids_with(tmp_path, flag, 2, 3, token)
+        for argv in BOTH_COMMANDS:
+            status, out, err = run(argv + ["--u0", grids["u0"], "--u1", grids["u1"]], capsys)
+            assert status == 2 and not out
+            assert err == (f"error: {flag}: sample {float(token)} at row 3, column 4 of "
+                           f"{grids[flag]} is not finite\n")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flag", ["u0", "u1"])
+    def test_overflowing_coefficients_name_flag_and_path(self, flag, tmp_path, capsys):
+        grids = write_grids_with(tmp_path, flag, 1, 1, "1e308")
+        for argv in BOTH_COMMANDS:
+            status, out, err = run(argv + ["--u0", grids["u0"], "--u1", grids["u1"]], capsys)
+            assert status == 2 and not out
+            assert err == f"error: {flag}: the sine coefficients of {grids[flag]} overflow\n"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flag", ["u0", "u1"])
+    def test_huge_samples_exit_2(self, flag, tmp_path, capsys):
+        # both sides of the inequality overflow float64: bad input, not a failed check
+        argv = ["observe", "--beta", "0.01", "--T", "50", "--kmax", "2", "--mu", "1"]
+        for token in ("1e156", "1e200", "1e300"):
+            grids = write_grids_with(tmp_path, flag, 1, 1, token)
+            out = tmp_path / "report.json"
+            status, _, err = run(argv + ["--u0", grids["u0"], "--u1", grids["u1"],
+                                         "--output", str(out)], capsys)
+            assert status == 2, token
+            assert err.startswith("error: initial data: ") and err.count("\n") == 1
+            assert not out.exists()
+        grids = write_grids_with(tmp_path, flag, 1, 1, "1e150")
+        status, _, err = run(argv + ["--u0", grids["u0"], "--u1", grids["u1"]], capsys)
+        assert status == 0 and not err
+
+
 class TestObserveCommand:
     def test_report_fields(self, tmp_path, capsys):
         u0, u1 = write_grids(tmp_path)
@@ -421,6 +652,18 @@ class TestFiniteReport:
     def test_nan_value_is_audit_failure(self, tmp_path, capsys, monkeypatch):
         status, err, out = self.run_with_report({"lhs": math.nan}, tmp_path, capsys,
                                                 monkeypatch)
+        assert status == 1
+        assert err.startswith("assertion failure: report value lhs=nan is not finite")
+        assert not out.exists()
+
+    def test_non_finite_side_of_modest_data_is_audit_failure(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # data of modest scale: a non-finite side is a fault, not an input error
+        import memwave.observability as observability
+        monkeypatch.setattr(observability, "boundary_trace_energy", lambda expansion, T: math.nan)
+        u0, u1 = write_grids(tmp_path)
+        out = tmp_path / "report.json"
+        status, _, err = run(self.ARGS + ["--u0", u0, "--u1", u1, "--output", str(out)], capsys)
         assert status == 1
         assert err.startswith("assertion failure: report value lhs=nan is not finite")
         assert not out.exists()
