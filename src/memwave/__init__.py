@@ -37,7 +37,6 @@ from .spectrum import (
     KernelParams,
     SpectralTriple,
     characteristic_roots,
-    characteristic_roots_numeric,
     laplace_eigenvalue,
     mode_spectrum,
     phi_psi,
@@ -105,8 +104,8 @@ __all__ = [
     "NotPositiveWarning",
     # spectrum
     "BETA_MAX", "KernelParams", "SpectralTriple", "laplace_eigenvalue",
-    "phi_psi", "phi_psi_limiting", "characteristic_roots",
-    "characteristic_roots_numeric", "vieta_residuals", "mode_spectrum",
+    "phi_psi", "phi_psi_limiting", "characteristic_roots", "vieta_residuals",
+    "mode_spectrum",
     # gap analysis
     "GapConstant", "GapAudit", "sqrt_gap_bound", "freq_scale_parts",
     "freq_scale", "gap_constant", "audit_gaps", "verify_scale_decreasing",

@@ -36,7 +36,7 @@ from .errors import (
     PreconditionViolated,
     RegimeError,
 )
-from .spectrum import BETA_MAX, KernelParams, mode_spectrum
+from .spectrum import BETA_MAX, KernelParams, _require_symmetric, mode_spectrum
 
 __all__ = [
     "GapConstant",
@@ -187,9 +187,8 @@ def _min_row_ratio(re_row: np.ndarray, fixed_index: int, kmax: int):
     """
     k = np.arange(1, kmax + 1)
     den = np.abs(k[:, None] - k[None, :]).astype(float)
+    # never empty: audit_gaps requires kmax >= 2, and (1, kmax) is admissible in every row
     admissible = (den > 0) & (np.maximum(k[:, None], k[None, :]) >= fixed_index)
-    if not np.any(admissible):
-        return math.inf, None
     num = np.abs(re_row[:, None] - re_row[None, :])
     ratios = np.where(admissible, num / np.where(den > 0, den, 1.0), math.inf)
     flat = int(np.argmin(ratios))
@@ -219,12 +218,7 @@ def audit_gaps(params: KernelParams, kmax: int) -> GapAudit:
     lam, omega, _ = mode_spectrum(params, kmax)
     re, im = omega.real, omega.imag
 
-    if not np.array_equal(re, re.T):
-        mode = np.unravel_index(int(np.argmax(np.abs(re - re.T))), lam.shape)
-        raise AuditFailure(
-            f"Re omega is not symmetric in (k1, k2) at mode ({mode[0] + 1}, {mode[1] + 1})",
-            datum=(mode[0] + 1, mode[1] + 1),
-        )
+    _require_symmetric("Re omega", re)
     min_ratio = math.inf
     worst = None
     for k1 in range(1, kmax + 1):

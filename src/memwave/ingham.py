@@ -27,10 +27,10 @@ admits the explicit lower bound evaluated by `energy_lower_bound`:
 
     S = mu * max( sum_n n^{-2*theta}, pi^2/6 ).
 
-The left side is computed exactly by expanding into pairwise products of
-exponentials and integrating each in closed form.  For many signals on
-shared sets of exponents (the boundary trace), `_real_signal_energies` uses
-the Cauchy form of the closed-form Gram entry,
+The left side, like every exact energy in memwave (the boundary trace's
+rows and columns too), comes from one kernel, `_real_signal_energies`, which
+integrates pairwise products of exponentials in the Cauchy form of the
+closed-form Gram entry,
 
     integral_0^T e^{(p + q) t} dt = (e^{pT} e^{qT} - 1) / (p + q),
 
@@ -39,7 +39,9 @@ K = 1/(p_a + q_b) with coefficient vectors.  K is evaluated in tiles of a
 fixed number of entries, several sets or a few rows at a time, so memory is
 O(kmax^2) and no Gram matrix is ever built; each tile is multiplied by the
 stacked coefficients of every signal on its exponents in one BLAS product,
-small enough to run on one thread.
+small enough to run on one thread.  `pairwise_exponential_energy`, the dense
+pairwise sum of the same integrals, is the test suite's slow oracle of the
+kernel; no computation of the package uses it.
 """
 
 from __future__ import annotations
@@ -274,7 +276,8 @@ def pairwise_exponential_energy(coeffs, exps, T: float) -> float:
 
     The result is real and nonnegative whenever the term list represents a
     real signal; tiny negative rounding residue is clamped to zero.  This is
-    the general path and the slow oracle of the Gram kernel below.
+    the slow oracle of the Cauchy kernel `_real_signal_energies` in the test
+    suite; no computation of the package calls it.
     """
     coeffs = np.asarray(coeffs, dtype=complex).reshape(-1)
     exps = np.asarray(exps, dtype=complex).reshape(-1)
@@ -455,9 +458,9 @@ def _real_signal_energies(omegas, rs, Cs, Rs, T: float) -> np.ndarray:
     sets at a time: memory stays O(m*n + _TILE_ENTRIES), and each matrix
     product is small enough to run on one BLAS thread.  A tile of a few rows
     of a set evaluates the symmetric X^2 and Y^2 parts and the Hermitian
-    |X|^2 part on and above the diagonal only.  Every exponent must
-    have a nonpositive real part (Im omega >= 0, r <= 0), so that no e^{pT}
-    overflows.
+    |X|^2 part on and above the diagonal only.  The exponents' real parts
+    may have either sign: the screening bounds hold for both, and e^{pT}
+    overflows no earlier than the energy's own diagonal term e^{2 Re p T}.
     """
     p = 1j * np.asarray(omegas, dtype=complex)
     r = np.asarray(rs, dtype=float)
@@ -494,14 +497,14 @@ def _energy_budget(p, r, z, R, T: float) -> float:
 
 
 def energy_integral(family: ExponentFamily, T: float) -> float:
-    """Exact integral_0^T |F(t)|^2 dt for the family's signal F."""
+    """Exact integral_0^T |F(t)|^2 dt for the family's signal F: one set of
+    exponents carrying one signal in _real_signal_energies."""
     if len(family) == 0:
         raise InputError("family must be nonempty")
     _check_horizon(T)
-    coeffs = np.concatenate([family.Cs, family.Cs.conj(), family.Rs.astype(complex)])
-    exps = np.concatenate([1j * family.omegas, -1j * family.omegas.conj(),
-                           family.rs.astype(complex)])
-    return pairwise_exponential_energy(coeffs, exps, T)
+    [[energy]] = _real_signal_energies(family.omegas[None], family.rs[None],
+                                       family.Cs[None, :, None], family.Rs[None, :, None], T)
+    return float(energy)
 
 
 def constant_S(mu: float, theta: float) -> float:
@@ -608,9 +611,15 @@ def energy_lower_bound(family: ExponentFamily, T: float, check: bool = True) -> 
     rhs = main - sub
     _check_horizon(T, rhs=rhs)
     lhs = energy_integral(family, T)
-    margin = lhs - rhs
-    if check and margin < -1e-9 * (1.0 + abs(rhs)):
-        raise AuditFailure(
-            f"energy lower bound failed: lhs={lhs} < rhs={rhs}", datum=(lhs, rhs)
-        )
-    return InghamBoundReport(lhs=lhs, rhs=rhs, S=S, margin=margin)
+    report = InghamBoundReport(lhs=lhs, rhs=rhs, S=S, margin=lhs - rhs)
+    if check:
+        _certify_bound(report)
+    return report
+
+
+def _certify_bound(report: InghamBoundReport) -> None:
+    """Certify lhs >= rhs - 1e-9*(1 + |rhs|); AuditFailure with datum (lhs, rhs)
+    otherwise."""
+    if report.margin < -1e-9 * (1.0 + abs(report.rhs)):
+        raise AuditFailure(f"energy lower bound failed: lhs={report.lhs} < rhs={report.rhs}",
+                           datum=(report.lhs, report.rhs))

@@ -46,7 +46,7 @@ from .errors import NotPositiveWarning, OutOfRange, ThetaOutOfRange
 from .gap_analysis import gap_constant
 from .ingham import _check_horizon, _real_signal_energies, constant_S
 from .modes import InitialData, ModeExpansion, expand, mu_from_expansion
-from .spectrum import BETA_MAX, KernelParams
+from .spectrum import BETA_MAX, KernelParams, _require_symmetric
 
 __all__ = [
     "ObservabilityConfig",
@@ -125,17 +125,15 @@ def thresholds(beta: float, mu: float, theta: float = 1.0):
     def height(b: float) -> float:
         return gap_constant(b).gamma ** 2 - coeff * b * b
 
-    if height(BETA_MAX) > 0.0:
-        beta0 = BETA_MAX
-    else:
-        lo, hi = 0.0, BETA_MAX
-        while hi - lo > 1e-10:
-            mid = 0.5 * (lo + hi)
-            if height(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        beta0 = 0.5 * (lo + hi)
+    # height(2/sqrt(3)) <= (sqrt(2) - 1)^2 - 16*4/3 < 0, so (0, 2/sqrt(3)] brackets the root
+    lo, hi = 0.0, BETA_MAX
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if height(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    beta0 = 0.5 * (lo + hi)
 
     denom = gap_constant(beta).gamma ** 2 - coeff * beta * beta
     if denom <= 0.0:
@@ -175,27 +173,20 @@ def boundary_trace_energy(expansion: ModeExpansion, T: float) -> float:
 
     One exponential-sum energy per mode row (side y = 0, weights k2) plus one
     per column (side x = 0, weights k1).  Row k and column k share their
-    exponents (omega and r are symmetric in (k1, k2)), so both are evaluated
-    on one set of exponents by ingham._real_signal_energies; an expansion
-    whose column exponents differ from the row's has those columns evaluated
-    on their own.  The parts are summed by math.fsum, so the result does not
-    depend on their order.
+    exponents, since `mode_spectrum` makes omega and r symmetric in (k1, k2):
+    both signals of index k ride on one set of exponents in one call of
+    ingham._real_signal_energies.  An asymmetric expansion is an AuditFailure
+    naming the first asymmetric mode.  The parts are summed by math.fsum, so
+    the result does not depend on their order.
     """
     _check_horizon(T)
     C, R, omega, r = expansion.C, expansion.R, expansion.omega, expansion.r
+    _require_symmetric("omega or r", omega, r)
     k = np.arange(1, expansion.kmax + 1, dtype=float)
-    rows_C, rows_R = C * k, R * k  # row i: weight k2
-    cols_C, cols_R = (C * k[:, None]).T, (R * k[:, None]).T  # column i: weight k1
-    shared = np.all(omega == omega.T, axis=1) & np.all(r == r.T, axis=1)
-    own = ~shared
-    shared_parts = _real_signal_energies(
-        omega[shared], r[shared], np.stack([rows_C[shared], cols_C[shared]], axis=-1),
-        np.stack([rows_R[shared], cols_R[shared]], axis=-1), T)
-    own_parts = _real_signal_energies(
-        np.concatenate([omega[own], omega.T[own]]), np.concatenate([r[own], r.T[own]]),
-        np.concatenate([rows_C[own], cols_C[own]])[..., None],
-        np.concatenate([rows_R[own], cols_R[own]])[..., None], T)
-    return (PI / 2.0) * math.fsum(np.concatenate([shared_parts.ravel(), own_parts.ravel()]))
+    # set i carries row i (weights k2) and column i (weights k1)
+    parts = _real_signal_energies(omega, r, np.stack([C * k, (C * k[:, None]).T], axis=-1),
+                                  np.stack([R * k, (R * k[:, None]).T], axis=-1), T)
+    return (PI / 2.0) * math.fsum(parts.ravel())
 
 
 def weighted_coefficient_sum(expansion: ModeExpansion, T: float) -> float:

@@ -20,8 +20,7 @@ with
     Phi = sqrt(1 + (2*eta^2 + 27*beta^2/4 - 9*eta*beta)/lam + eta^3*(eta-beta)/lam^2),
     Psi = eta^3 / (3*sqrt(3*lam^3)) + (eta - 3*beta/2) * sqrt(3)/sqrt(lam).
 
-The module also carries a companion-matrix root finder used as an independent
-numeric cross-check, and Vieta residuals as a consistency certificate.
+The module also carries Vieta residuals as a consistency certificate.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComplexRegime, InputError, NegativeRadicand, OutOfRange
+from .errors import AuditFailure, ComplexRegime, InputError, NegativeRadicand, OutOfRange
 
 __all__ = [
     "KernelParams",
@@ -40,7 +39,6 @@ __all__ = [
     "phi_psi",
     "phi_psi_limiting",
     "characteristic_roots",
-    "characteristic_roots_numeric",
     "vieta_residuals",
     "mode_spectrum",
 ]
@@ -185,22 +183,6 @@ def characteristic_roots(params: KernelParams, lam: float) -> SpectralTriple:
     )
 
 
-def characteristic_roots_numeric(params: KernelParams, lam: float):
-    """The three cubic roots from companion-matrix eigenvalues (no closed forms).
-
-    Canonical order: conjugate pair first (positive imaginary part leading),
-    then the root closest to the real axis.  Serves as the independent
-    cross-check for `characteristic_roots`.
-    """
-    if lam <= 0.0:
-        raise InputError("lam must be > 0")
-    roots = np.roots([1.0, params.eta, lam, (params.eta - params.beta) * lam])
-    real_idx = int(np.argmin(np.abs(roots.imag)))
-    pair = sorted((roots[i] for i in range(3) if i != real_idx),
-                  key=lambda z: -z.imag)
-    return complex(pair[0]), complex(pair[1]), complex(roots[real_idx])
-
-
 def vieta_residuals(triple: SpectralTriple, params: KernelParams, lam: float):
     """Absolute residuals of the three Vieta identities for the triple's roots.
 
@@ -235,3 +217,14 @@ def mode_spectrum(params: KernelParams, kmax: int):
     lam = k[:, None] ** 2 + k[None, :] ** 2
     omega, r = _closed_form_roots(params, lam)[:2]
     return lam, omega, r
+
+
+def _require_symmetric(name: str, *grids) -> None:
+    """Raise AuditFailure naming the first mode (k1, k2), row by row, at which
+    one of the (kmax, kmax) grids differs from its transpose; `name` names
+    the grids.  Grids from `mode_spectrum` always pass."""
+    asymmetric = np.logical_or.reduce([grid != grid.T for grid in grids])
+    if asymmetric.any():
+        k1, k2 = np.unravel_index(int(np.argmax(asymmetric)), asymmetric.shape)
+        raise AuditFailure(f"{name} is not symmetric in (k1, k2) at mode ({k1 + 1}, {k2 + 1})",
+                           datum=(int(k1) + 1, int(k2) + 1))

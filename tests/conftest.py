@@ -14,8 +14,8 @@ from scipy.integrate import quad, solve_ivp
 
 from memwave import (
     ExponentFamily,
+    InputError,
     Violation,
-    characteristic_roots_numeric,
     pairwise_exponential_energy,
 )
 
@@ -64,20 +64,41 @@ def family_signal(family):
     return f
 
 
+def pairwise_signal_energy(C, R, omega, r, T):
+    """Slow oracle of the Cauchy kernel: the energy of the real signal
+    sum_a C_a e^{i omega_a t} + conj(C_a) e^{-i conj(omega_a) t} + R_a e^{r_a t}
+    by one pairwise_exponential_energy over its 3n terms."""
+    coeffs = np.concatenate([C, np.conj(C), R])
+    exps = np.concatenate([1j * omega, -1j * np.conj(omega), r])
+    return pairwise_exponential_energy(coeffs, exps, T)
+
+
 def pairwise_trace_energy(expansion, T):
-    """Slow oracle of boundary_trace_energy: one pairwise_exponential_energy per
-    mode row and per column, each over the 3*kmax terms of its real signal."""
+    """Slow oracle of boundary_trace_energy: one pairwise_signal_energy per
+    mode row and per column."""
     k = np.arange(1, expansion.kmax + 1, dtype=float)
-
-    def side(C, R, omega, r):
-        coeffs = np.concatenate([C * k, (C * k).conj(), R * k])
-        exps = np.concatenate([1j * omega, -1j * omega.conj(), r])
-        return pairwise_exponential_energy(coeffs, exps, T)
-
     e = expansion
-    parts = [side(e.C[i, :], e.R[i, :], e.omega[i, :], e.r[i, :]) for i in range(e.kmax)]
-    parts += [side(e.C[:, i], e.R[:, i], e.omega[:, i], e.r[:, i]) for i in range(e.kmax)]
+    parts = [pairwise_signal_energy(e.C[i, :] * k, e.R[i, :] * k, e.omega[i, :], e.r[i, :], T)
+             for i in range(e.kmax)]
+    parts += [pairwise_signal_energy(e.C[:, i] * k, e.R[:, i] * k, e.omega[:, i], e.r[:, i], T)
+              for i in range(e.kmax)]
     return math.pi / 2.0 * math.fsum(parts)
+
+
+def characteristic_roots_numeric(params, lam):
+    """Oracle of the closed-form roots: the three cubic roots from
+    companion-matrix eigenvalues, sharing no code with `spectrum`.
+
+    Canonical order: conjugate pair first (positive imaginary part leading),
+    then the root closest to the real axis.
+    """
+    if lam <= 0.0:
+        raise InputError("lam must be > 0")
+    roots = np.roots([1.0, params.eta, lam, (params.eta - params.beta) * lam])
+    real_idx = int(np.argmin(np.abs(roots.imag)))
+    pair = sorted((roots[i] for i in range(3) if i != real_idx),
+                  key=lambda z: -z.imag)
+    return complex(pair[0]), complex(pair[1]), complex(roots[real_idx])
 
 
 def lagrange_coefficients(params, lam, a, b):

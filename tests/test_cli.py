@@ -288,7 +288,7 @@ FALLBACK_GRIDS = {
     "blank line": b"1,2\n\n3,4\n",
     "ragged": b"1,2\n3\n",
     "empty field": b"1,,2\n3,4,5\n",
-    "bom": b"\xef\xbb\xbf1,2\n3,4\n",
+    "bom": b"\xef\xbb\xbf1, 2\n3, 4\n",  # dropped, then read as "spaces"
     "non-utf-8": b"1,2\n3,\xe9\n",
     "nan": b"1,nan\n3,4\n",
     "inf": b"1,-inf\n3,4\n",
@@ -300,6 +300,8 @@ FALLBACK_GRIDS = {
     "two points": b"1,2\n3,1.2.3\n",
     "sign inside": b"1,2\n3,1-2\n",
     "bare exponent": b"1,2\n3,1e\n",
+    "two exponents": b"1,2\n3,1e5e3\n",
+    "two exponent signs": b"1,2\n3,2e+-3\n",
     "no digits": b"1,2\n3,-.e5\n",
     "blank": b"\n",
 }
@@ -393,7 +395,7 @@ class TestGridReader:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # loadtxt warns of an empty file
-                want = np.loadtxt(path, delimiter=",", ndmin=2)
+                want = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8-sig")
         except ValueError as exc:
             assert err == f"error: u0: malformed CSV grid in {path}: {exc}\n"
             return
@@ -403,6 +405,34 @@ class TestGridReader:
             assert err.startswith("error: u0: sample ") and "is not finite" in err
         else:
             assert seen[0].view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("data", [b"1.5,-2e-3\n3,4\n", b"1.5, -2e-3\n3, 4\n"],
+                             ids=["plain", "falls back"])
+    def test_byte_order_mark_is_dropped(self, data, tmp_path, monkeypatch, capsys):
+        # spreadsheet programs write a UTF-8 byte order mark first
+        seen, loadtxt_calls = [], []
+        loadtxt = np.loadtxt
+
+        def capture(grid, kmax):
+            seen.append(grid)
+            raise InputError("captured")
+
+        def counted_loadtxt(*args, **kwargs):
+            loadtxt_calls.append(args)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sine_coefficients", capture)
+        monkeypatch.setattr(np, "loadtxt", counted_loadtxt)
+        for name, content in (("bom.csv", b"\xef\xbb\xbf" + data), ("plain.csv", data)):
+            path = tmp_path / name
+            path.write_bytes(content)
+            status, _, err = run(["modes", "--beta", "0.1", "--kmax", "1", "--u0", str(path),
+                                  "--u1", str(path)], capsys)
+            assert (status, err) == (2, "error: captured\n")
+        with_mark, without = seen
+        assert with_mark.view(np.uint64).tolist() == without.view(np.uint64).tolist()
+        assert with_mark.tolist() == [[1.5, -2e-3], [3.0, 4.0]]
+        assert bool(loadtxt_calls) == (b" " in data)
 
     def test_powers_of_5_made_on_first_use(self):
         code = ("import memwave.cli as cli; made = cli._pow5_128.cache_info().currsize; "
@@ -501,6 +531,22 @@ class TestInghamCheckCommand:
             ["ingham-check", "--family", str(tmp_path / "none.json"), "--T", "4"],
             capsys)
         assert status == 2
+
+    def test_failed_bound_exits_1_after_the_report(self, tmp_path, capsys, monkeypatch):
+        # the golden family satisfies every hypothesis and has rhs > 0: an
+        # energy of 0 fails the bound, certified only after the report is written
+        import memwave.ingham as ingham
+
+        monkeypatch.setattr(ingham, "energy_integral", lambda family, T: 0.0)
+        family = Path(__file__).resolve().parent / "golden" / "family.json"
+        output = tmp_path / "report.json"
+        status, _, err = run(["ingham-check", "--family", str(family), "--T", "4",
+                              "--output", str(output)], capsys)
+        assert status == 1
+        report = json.loads(output.read_text())
+        assert report["violations"] == [] and report["lhs"] == 0.0 and report["rhs"] > 0.0
+        assert err == (f"assertion failure: energy lower bound failed: lhs=0.0 < "
+                       f"rhs={report['rhs']!r} [datum: (0.0, {report['rhs']!r})]\n")
 
 
 class TestModesCommand:
@@ -915,6 +961,19 @@ class TestConfigFile:
         assert status == 2
         assert out == ""
         assert "subcommand" in err
+
+    @pytest.mark.parametrize("value, table", [("yes", True), ("off", False), ("maybe", None)])
+    def test_boolean_from_file(self, value, table, tmp_path, capsys):
+        conf = tmp_path / "flag.conf"
+        conf.write_text(f"gamma_table = {value}\nsteps = 2\nbeta = 0.3\nkmax = 4\n")
+        status, out, err = run(["gaps", "--config", str(conf)], capsys)
+        if table is None:
+            assert status == 2
+            assert err == "error: gamma_table: not a boolean: 'maybe'\n"
+            return
+        assert status == 0
+        assert out.startswith("beta,gamma\n") == table
+        assert ('"min_ratio_k2"' in out) == (not table)
 
     def test_comments_and_hyphens(self, tmp_path, capsys):
         conf = tmp_path / "ok.conf"

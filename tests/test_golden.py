@@ -10,8 +10,11 @@ To capture the files again from a trusted checkout:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import json
+import math
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import memwave.cli as cli
@@ -70,6 +73,38 @@ def test_one_parser_serves_every_call(rejected, tmp_path, capsys, monkeypatch):
         assert _run_case(name, output) == 0
         assert capsys.readouterr().err == ""
         assert output.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def _exact_energy(family, T):
+    """integral_0^T F(t)^2 dt of a family file's signal, to 50 digits: the
+    pairwise sum of closed-form integrals in mpmath, the numbers of the file
+    read as the CLI reads them (binary64)."""
+    with mpmath.workdps(50):
+        z, s = [], []
+        for re, im, r, c_re, c_im, R in zip(*(family[key] for key in (
+                "omega_re", "omega_im", "r", "C_re", "C_im", "R"))):
+            omega, C = mpmath.mpc(re, im), mpmath.mpc(c_re, c_im)
+            z += [C, mpmath.conj(C), mpmath.mpf(R)]
+            s += [1j * omega, -1j * mpmath.conj(omega), mpmath.mpf(r)]
+        total = 0
+        for z_a, s_a in zip(z, s):
+            for z_b, s_b in zip(z, s):
+                e = s_a + mpmath.conj(s_b)
+                integral = T if e == 0 else mpmath.expm1(e * T) / e
+                total += z_a * mpmath.conj(z_b) * integral
+        return total.real
+
+
+@pytest.mark.parametrize("name", ["ingham_check", "ingham_check_violations"])
+def test_ingham_check_energy_within_half_an_ulp(name):
+    # the goldens' lhs is the exact energy correctly rounded, or nearly: within
+    # half an ulp of its 50-digit value
+    args = CASES[name]
+    family = json.loads(Path(args[args.index("--family") + 1].format(dir=GOLDEN)).read_text())
+    lhs = json.loads((GOLDEN / f"{name}.out").read_text())["lhs"]
+    exact = _exact_energy(family, float(args[args.index("--T") + 1]))
+    with mpmath.workdps(50):
+        assert abs(mpmath.mpf(lhs) - exact) <= mpmath.mpf(math.ulp(lhs)) / 2
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Window kernel identities, exact exponential energies, and the lower bound."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     loop_check_hypotheses,
+    pairwise_signal_energy,
     quad_energy,
     quad_windowed_moment,
     random_admissible_family,
@@ -214,16 +216,24 @@ class TestEnergyIntegral:
         assert ingham._clamped_energy(3.0, lambda: pytest.fail("budget evaluated")) == 3.0
 
     def test_gram_form_matches_pairwise(self):
-        import memwave.ingham as ingham
-
+        # the Cauchy kernel against the dense pairwise oracle on families of
+        # three kinds: admissible; growing (Im omega < 0, r > -Im omega > 0),
+        # against the hypotheses; and with a repeated frequency
         rng = np.random.default_rng(11)
         for _ in range(10):
-            family, T = random_admissible_family(rng, n=12)
-            # the family as one set of exponents carrying one signal
-            [[exact]] = ingham._real_signal_energies(
-                family.omegas[None], family.rs[None],
-                family.Cs[None, :, None], family.Rs[None, :, None], T)
-            assert abs(exact - energy_integral(family, T)) <= 1e-12 * exact
+            n = int(rng.integers(2, 13))
+            family, T = random_admissible_family(rng, n=n, T=float(rng.uniform(0.5, 20.0)))
+            im = -0.4 * rng.random(n)
+            growing = dataclasses.replace(family, omegas=family.omegas.real + 1j * im,
+                                          rs=-im + 0.5 * rng.random(n) + 1e-3)
+            omegas = family.omegas.copy()
+            omegas[rng.integers(1, n)] = omegas[0]
+            repeated = dataclasses.replace(family, omegas=omegas)
+            assert check_hypotheses(family, T) == []
+            assert "root-decay" in {v.hypothesis for v in check_hypotheses(growing, T)}
+            for case in (family, growing, repeated):
+                exact = pairwise_signal_energy(case.Cs, case.Rs, case.omegas, case.rs, T)
+                assert abs(energy_integral(case, T) - exact) <= 1e-12 * exact
 
     @pytest.mark.parametrize("tile", [1, 5, 2**14])
     @pytest.mark.parametrize("omegas, rs", [
@@ -245,9 +255,7 @@ class TestEnergyIntegral:
         T = 10.0
         energies = ingham._real_signal_energies(omegas[None], rs[None], Cs[None], Rs[None], T)
         for c in range(2):
-            family = ExponentFamily(omegas=omegas, rs=rs, Cs=Cs[:, c], Rs=Rs[:, c],
-                                    gamma=1.0, tau=1)
-            exact = energy_integral(family, T)
+            exact = pairwise_signal_energy(Cs[:, c], Rs[:, c], omegas, rs, T)
             assert abs(energies[0, c] - exact) <= 1e-12 * exact
 
     def test_against_quadrature(self):

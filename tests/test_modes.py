@@ -151,6 +151,22 @@ class TestExpand:
                 assert abs(expansion.C[i, j] - C) <= 1e-10 * scale
                 assert abs(expansion.R[i, j] - R) <= 1e-10 * scale
 
+    def test_degenerate_exponents_name_the_mode(self, monkeypatch):
+        # at mode (2, 3), omega = -i*r makes i*omega collide with r
+        import memwave.modes as modes
+
+        def colliding(params, kmax):
+            lam, omega, r = mode_spectrum(params, kmax)
+            omega = omega.copy()
+            omega[1, 2] = -1j * r[1, 2]
+            return lam, omega, r
+
+        monkeypatch.setattr(modes, "mode_spectrum", colliding)
+        rng = np.random.default_rng(43)
+        data = InitialData(a=rng.normal(size=(4, 4)), b=rng.normal(size=(4, 4)), kmax=4)
+        with pytest.raises(DegenerateExponents, match=r"at mode \(2, 3\): min gap 0\.0$"):
+            expand(KernelParams.limiting_regime(0.2), data)
+
     def test_truncation(self):
         rng = np.random.default_rng(41)
         data = InitialData(a=rng.normal(size=(8, 8)),

@@ -12,6 +12,7 @@ from scipy.integrate import fixed_quad, quad
 
 from conftest import pairwise_trace_energy
 from memwave import (
+    AuditFailure,
     BETA_MAX,
     InitialData,
     KernelParams,
@@ -41,13 +42,13 @@ def random_data(rng, kmax):
                        b=rng.normal(size=(kmax, kmax)), kmax=kmax)
 
 
-def skewed_expansion():
-    """An expansion made asymmetric by hand: omega[0, 1] != omega[1, 0]."""
+def skewed_expansion(field, mode):
+    """An expansion made asymmetric by hand: `field` moved at one mode."""
     rng = np.random.default_rng(83)
     expansion = expand(KernelParams.limiting_regime(0.1), random_data(rng, 6))
-    omega = expansion.omega.copy()
-    omega[0, 1] += 0.3
-    return dataclasses.replace(expansion, omega=omega)
+    values = getattr(expansion, field).copy()
+    values[mode] += 0.3
+    return dataclasses.replace(expansion, **{field: values})
 
 
 def boundary_energy_quadrature(expansion, T):
@@ -275,12 +276,15 @@ class TestBoundaryTraceEnergy:
         oracle = pairwise_trace_energy(expansion, 50.0)
         assert abs(boundary_trace_energy(expansion, 50.0) - oracle) <= 2e-15 * oracle
 
-    def test_rows_and_columns_with_different_exponents(self):
-        # a hand-built expansion whose omega is not symmetric: the columns
-        # need a Cauchy matrix of their own
-        skewed = skewed_expansion()
-        oracle = pairwise_trace_energy(skewed, 5.0)
-        assert abs(boundary_trace_energy(skewed, 5.0) - oracle) <= 1e-12 * oracle
+    @pytest.mark.parametrize("field, mode, named", [("omega", (0, 1), (1, 2)),
+                                                   ("r", (4, 2), (3, 5))])
+    def test_asymmetric_expansion_is_audit_failure(self, field, mode, named):
+        # row k and column k share one set of exponents only while omega and r
+        # are symmetric, as mode_spectrum makes them
+        with pytest.raises(AuditFailure, match=rf"^omega or r is not symmetric in \(k1, k2\) "
+                                               rf"at mode \({named[0]}, {named[1]}\)$") as err:
+            boundary_trace_energy(skewed_expansion(field, mode), 5.0)
+        assert err.value.datum == named
 
     @pytest.mark.parametrize("tile", [1, 40, 200, 700])
     def test_tiles_cover_every_row_once(self, tile, monkeypatch):
@@ -314,17 +318,6 @@ class TestBoundaryTraceEnergy:
             expansion = expand(KernelParams.limiting_regime(beta), random_data(rng, kmax))
             oracle = pairwise_trace_energy(expansion, 50.0)
             assert abs(boundary_trace_energy(expansion, 50.0) - oracle) <= 1e-12 * oracle
-
-    @pytest.mark.parametrize("tile", [1, 40, 200])
-    def test_small_tiles_with_different_column_exponents(self, tile, monkeypatch):
-        # as in test_rows_and_columns_with_different_exponents: the skewed
-        # columns must be evaluated on their own exponents in every tile shape
-        import memwave.ingham as ingham
-
-        monkeypatch.setattr(ingham, "_TILE_ENTRIES", tile)
-        skewed = skewed_expansion()
-        oracle = pairwise_trace_energy(skewed, 5.0)
-        assert abs(boundary_trace_energy(skewed, 5.0) - oracle) <= 1e-12 * oracle
 
     def test_additivity_on_disjoint_rows_and_columns(self):
         # supports {(1,1)} and {(2,2)} share no row and no column

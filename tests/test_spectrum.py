@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import characteristic_roots_numeric
 from memwave import (
     BETA_MAX,
     ComplexRegime,
     KernelParams,
     NegativeRadicand,
     characteristic_roots,
-    characteristic_roots_numeric,
     laplace_eigenvalue,
     mode_spectrum,
     phi_psi,
