@@ -180,52 +180,48 @@ def gap_constant(beta: float) -> GapConstant:
     return GapConstant(gamma=direct, beta=beta)
 
 
-def _min_row_ratio(re_row: np.ndarray, fixed_index: int, kmax: int):
-    """Worst |Re omega difference| / |index difference| over admissible pairs in one row.
-
-    Pairs (k, k') are admissible when max(k, k') >= fixed_index.
-    """
-    k = np.arange(1, kmax + 1)
-    den = np.abs(k[:, None] - k[None, :]).astype(float)
-    # never empty: audit_gaps requires kmax >= 2, and (1, kmax) is admissible in every row
-    admissible = (den > 0) & (np.maximum(k[:, None], k[None, :]) >= fixed_index)
-    num = np.abs(re_row[:, None] - re_row[None, :])
-    ratios = np.where(admissible, num / np.where(den > 0, den, 1.0), math.inf)
-    flat = int(np.argmin(ratios))
-    i, j = np.unravel_index(flat, ratios.shape)
-    return float(ratios[i, j]), (int(k[i]), int(k[j]))
-
-
 def audit_gaps(params: KernelParams, kmax: int) -> GapAudit:
     """Sweep all modes k1, k2 <= kmax and certify the gap inequalities.
 
-    Requires the limiting regime.  `mode_spectrum` makes Re omega exactly
-    symmetric in (k1, k2), so one scan over the rows gives both gap ratios:
-    min_ratio_k1 (pairs in k1 at fixed k2) is min_ratio_k2 (pairs in k2 at
-    fixed k1), with the worst pair mirrored.  The symmetry is checked, not
-    assumed.  Raises AuditFailure naming the offending mode or mode pair if
-    the symmetry or any inequality fails beyond the rounding slack.
+    Requires the limiting regime.  The gap ratio of row k1 is the least slope
+    (Re omega_k' - Re omega_k) / (k' - k) over its admissible pairs k < k',
+    those with k' >= k1.  Such a pair's rise is that of (k, k1), when k < k1,
+    plus the steps (j, j+1) for k1 <= j < k', so its slope is a weighted mean
+    of theirs: the least slope of the row is one of its kmax - 1 candidates,
+    the pairs (k, k1) for k < k1 and the steps (j, j+1) for j >= k1.  The
+    slopes are signed, so a row that falls along an admissible pair fails;
+    `mode_spectrum`'s rows rise (Re omega = sqrt(lam) * F/2, F nonincreasing),
+    and for rising rows the least slope is the least |Re omega difference| /
+    |index difference|.  The worst pair is the first in row-major order of
+    (k1, k, k').
+
+    `mode_spectrum` makes Re omega exactly symmetric in (k1, k2), so the rows
+    give both gap ratios: min_ratio_k1 (pairs in k1 at fixed k2) is
+    min_ratio_k2 (pairs in k2 at fixed k1), with the worst pair mirrored.  The
+    symmetry is checked, not assumed.  Raises AuditFailure naming the
+    offending mode or mode pair if the symmetry or any inequality fails
+    beyond the rounding slack.
     """
     if not params.limiting:
         raise RegimeError(
             f"gap audit requires eta = 3*beta/2, got eta={params.eta}, beta={params.beta}"
         )
-    if not (0.0 <= params.beta <= BETA_MAX + 1e-12):
-        raise OutOfRange(f"beta must lie in [0, 2/sqrt(3)], got {params.beta}")
+    gamma = gap_constant(params.beta).gamma
     if kmax < 2:
         raise OutOfRange(f"kmax must be >= 2, got {kmax}")
-    gamma = gap_constant(params.beta).gamma
     lam, omega, _ = mode_spectrum(params, kmax)
     re, im = omega.real, omega.imag
 
     _require_symmetric("Re omega", re)
-    min_ratio = math.inf
-    worst = None
-    for k1 in range(1, kmax + 1):
-        ratio, pair = _min_row_ratio(re[k1 - 1, :], k1, kmax)
-        if ratio < min_ratio:
-            min_ratio = ratio
-            worst = (k1, pair)
+    # row k1 - 1: the pairs (c + 1, k1) left of the diagonal, the steps
+    # (c + 1, c + 2) from it on; the last column has no step
+    row, col = np.ogrid[:kmax, :kmax]
+    steps = np.full((kmax, kmax), math.inf)
+    steps[:, :-1] = np.diff(re, axis=1)
+    ratios = np.where(col < row, (re.diagonal()[:, None] - re) / np.maximum(row - col, 1), steps)
+    k1, c = divmod(int(np.argmin(ratios)), kmax)
+    min_ratio = float(ratios[k1, c])
+    worst = (k1 + 1, (c + 1, k1 + 1) if c < k1 else (c + 1, c + 2))
 
     re_over_norm = re / np.sqrt(lam)
     min_re_over_norm = float(np.min(re_over_norm))
@@ -237,25 +233,16 @@ def audit_gaps(params: KernelParams, kmax: int) -> GapAudit:
             f"and, mirrored, at ((k1, k1'), k2)={worst[::-1]}",
             datum=worst,
         )
-    if min_re_over_norm < gamma - AUDIT_SLACK:
-        mode = np.unravel_index(int(np.argmin(re_over_norm)), lam.shape)
-        raise AuditFailure(
-            f"Re omega / sqrt(lam) = {min_re_over_norm} < gamma {gamma} at mode "
-            f"({mode[0] + 1}, {mode[1] + 1})",
-            datum=(mode[0] + 1, mode[1] + 1),
-        )
-    if im_min < -AUDIT_SLACK:
-        mode = np.unravel_index(int(np.argmin(im)), lam.shape)
-        raise AuditFailure(
-            f"Im omega = {im_min} < 0 at mode ({mode[0] + 1}, {mode[1] + 1})",
-            datum=(mode[0] + 1, mode[1] + 1),
-        )
-    if im_max > 0.5 * params.beta + AUDIT_SLACK:
-        mode = np.unravel_index(int(np.argmax(im)), lam.shape)
-        raise AuditFailure(
-            f"Im omega = {im_max} > beta/2 at mode ({mode[0] + 1}, {mode[1] + 1})",
-            datum=(mode[0] + 1, mode[1] + 1),
-        )
+    for failed, flat, what in (
+        (min_re_over_norm < gamma - AUDIT_SLACK, np.argmin(re_over_norm),
+         f"Re omega / sqrt(lam) = {min_re_over_norm} < gamma {gamma}"),
+        (im_min < -AUDIT_SLACK, np.argmin(im), f"Im omega = {im_min} < 0"),
+        (im_max > 0.5 * params.beta + AUDIT_SLACK, np.argmax(im),
+         f"Im omega = {im_max} > beta/2"),
+    ):
+        if failed:
+            mode = tuple(v + 1 for v in divmod(int(flat), kmax))
+            raise AuditFailure(f"{what} at mode {mode}", datum=mode)
     return GapAudit(
         min_ratio_k2=min_ratio,
         min_ratio_k1=min_ratio,

@@ -498,12 +498,15 @@ def _energy_budget(p, r, z, R, T: float) -> float:
 
 def energy_integral(family: ExponentFamily, T: float) -> float:
     """Exact integral_0^T |F(t)|^2 dt for the family's signal F: one set of
-    exponents carrying one signal in _real_signal_energies."""
+    exponents carrying one signal in _real_signal_energies.  An energy that
+    overflows float64 is rejected with OutOfRange naming lhs and T."""
     if len(family) == 0:
         raise InputError("family must be nonempty")
     _check_horizon(T)
-    [[energy]] = _real_signal_energies(family.omegas[None], family.rs[None],
-                                       family.Cs[None, :, None], family.Rs[None, :, None], T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        [[energy]] = _real_signal_energies(family.omegas[None], family.rs[None],
+                                           family.Cs[None, :, None], family.Rs[None, :, None], T)
+    _check_horizon(T, lhs=energy)
     return float(energy)
 
 
@@ -591,7 +594,7 @@ def energy_lower_bound(family: ExponentFamily, T: float, check: bool = True) -> 
     With check=True (default) the family hypotheses are verified first
     (HypothesisError listing every violation) and the inequality
     lhs >= rhs - 1e-9*(1 + |rhs|) is certified (AuditFailure otherwise).
-    A horizon that makes rhs non-finite is rejected with OutOfRange.
+    A horizon that makes rhs or lhs non-finite is rejected with OutOfRange.
     """
     _check_horizon(T)
     if check:
@@ -601,13 +604,14 @@ def energy_lower_bound(family: ExponentFamily, T: float, check: bool = True) -> 
     S = constant_S(family.mu, family.theta)
     gamma, tau = family.gamma, family.tau
     im = family.omegas.imag
-    weights = np.abs(family.Cs) ** 2 * (1.0 + np.exp(-2.0 * im * T))
-    head = weights[tau - 1:]
-    im_head = im[tau - 1:]
-    main = 2.0 * T * PI * float(
-        np.sum((1.0 / (PI * PI + 4.0 * T * T * im_head**2) - 2.0 * S / (T * T * gamma * gamma)) * head)
-    )
-    sub = (8.0 * PI / (T * gamma * gamma)) * (1.0 + S / 2.0) * float(np.sum(weights))
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.abs(family.Cs) ** 2 * (1.0 + np.exp(-2.0 * im * T))
+        head = weights[tau - 1:]
+        im_head = im[tau - 1:]
+        main = 2.0 * T * PI * float(
+            np.sum((1.0 / (PI * PI + 4.0 * T * T * im_head**2) - 2.0 * S / (T * T * gamma * gamma)) * head)
+        )
+        sub = (8.0 * PI / (T * gamma * gamma)) * (1.0 + S / 2.0) * float(np.sum(weights))
     rhs = main - sub
     _check_horizon(T, rhs=rhs)
     lhs = energy_integral(family, T)

@@ -142,6 +142,41 @@ def brute_force_gap_ratios(re):
     return scan(re), scan(re.T)
 
 
+def _min_row_ratio(re_row, fixed_index, kmax):
+    """Worst |Re omega difference| / |index difference| over admissible pairs in one row.
+
+    Pairs (k, k') are admissible when max(k, k') >= fixed_index.
+    """
+    k = np.arange(1, kmax + 1)
+    den = np.abs(k[:, None] - k[None, :]).astype(float)
+    # never empty: kmax >= 2 makes (1, kmax) admissible in every row
+    admissible = (den > 0) & (np.maximum(k[:, None], k[None, :]) >= fixed_index)
+    num = np.abs(re_row[:, None] - re_row[None, :])
+    ratios = np.where(admissible, num / np.where(den > 0, den, 1.0), math.inf)
+    flat = int(np.argmin(ratios))
+    i, j = np.unravel_index(flat, ratios.shape)
+    return float(ratios[i, j]), (int(k[i]), int(k[j]))
+
+
+def row_scan_gap_audit(re):
+    """Oracle of the gap audit's ratio at scale: every admissible pair of every
+    row, one row at a time, in O(kmax^3).
+
+    Returns (min_ratio, worst) with worst = (k1, (k, k')), the first row
+    reaching the minimum and its first such pair in row-major order, as the
+    audit's AuditFailure datum names it.
+    """
+    kmax = re.shape[0]
+    min_ratio = math.inf
+    worst = None
+    for k1 in range(1, kmax + 1):
+        ratio, pair = _min_row_ratio(re[k1 - 1, :], k1, kmax)
+        if ratio < min_ratio:
+            min_ratio = ratio
+            worst = (k1, pair)
+    return min_ratio, worst
+
+
 def loop_check_hypotheses(family, T):
     """Oracle of check_hypotheses: one Python loop per hypothesis, pairs row-major.
 

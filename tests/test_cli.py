@@ -548,6 +548,22 @@ class TestInghamCheckCommand:
         assert err == (f"assertion failure: energy lower bound failed: lhs=0.0 < "
                        f"rhs={report['rhs']!r} [datum: (0.0, {report['rhs']!r})]\n")
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("r", [100.0, -0.2], "lhs=nan is not finite at T=10.0"),
+        ("omega_im", [-100.0, 0.1], "rhs=-inf is not finite at T=10.0"),
+        ("C_re", [1e200, 0.25], "rhs=nan is not finite at T=10.0"),
+    ])
+    def test_overflow_is_one_line_exit_2(self, tmp_path, capsys, recwarn, field, value, message):
+        # finite family data whose energy or bound overflows float64 at T = 10
+        family = json.loads((Path(__file__).resolve().parent / "golden" / "family.json").read_text())
+        family[field] = value
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(family))
+        status, out, err = run(["ingham-check", "--family", str(path), "--T", "10"], capsys)
+        assert status == 2 and out == ""
+        assert err == f"error: {message}\n"
+        assert len(recwarn) == 0
+
 
 class TestModesCommand:
     def test_coefficients_match_library(self, tmp_path, capsys):

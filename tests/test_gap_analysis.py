@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import memwave.gap_analysis as ga
-from conftest import brute_force_gap_ratios
+from conftest import brute_force_gap_ratios, row_scan_gap_audit
 from memwave import (
     AuditFailure,
     BETA_MAX,
     GapAudit,
+    GapConstant,
     KernelParams,
     OutOfRange,
     PreconditionViolated,
@@ -163,6 +164,30 @@ class TestGapConstant:
             assert abs(gap_constant(beta).gamma - (SQRT2 - 1.0) * lam_sum) <= 1e-12
 
 
+def audited(monkeypatch, params, kmax):
+    """(min_ratio, worst) of the gap audit: the ratio from a passing audit, the
+    worst pair from the AuditFailure of an unreachable gamma."""
+    min_ratio = ga.audit_gaps(params, kmax).min_ratio_k2
+    monkeypatch.setattr(ga, "gap_constant", lambda beta: GapConstant(gamma=math.inf, beta=beta))
+    with pytest.raises(AuditFailure) as err:
+        ga.audit_gaps(params, kmax)
+    assert all(type(k) is int for k in (err.value.datum[0], *err.value.datum[1]))
+    return min_ratio, err.value.datum
+
+
+def shifted_spectrum(monkeypatch, shift):
+    """Patch `mode_spectrum` to the beta = 0, kmax = 8 spectrum with Re omega
+    of each mode (i + 1, j + 1) in `shift` and of its mirror moved by the
+    given amount; return that Re omega."""
+    lam, omega, r = mode_spectrum(KernelParams.limiting_regime(0.0), 8)
+    omega = omega.copy()
+    for (i, j), delta in shift.items():
+        omega[i, j] += delta
+        omega[j, i] += delta
+    monkeypatch.setattr(ga, "mode_spectrum", lambda params, kmax: (lam, omega, r))
+    return omega.real
+
+
 class TestAuditGaps:
     def test_memoryless_audit(self):
         audit = audit_gaps(KernelParams.limiting_regime(0.0), 16)
@@ -208,7 +233,8 @@ class TestAuditGaps:
         monkeypatch.setattr(ga, "gap_constant", inflated)
         with pytest.raises(AuditFailure) as err:
             ga.audit_gaps(KernelParams.limiting_regime(0.0), 8)
-        assert err.value.datum is not None
+        _, omega, _ = mode_spectrum(KernelParams.limiting_regime(0.0), 8)
+        assert err.value.datum == row_scan_gap_audit(omega.real)[1]
 
     @pytest.mark.parametrize("beta", [0.0, 0.3, 0.7, 1.0, BETA_MAX])
     def test_ratios_match_brute_force_scan(self, beta):
@@ -217,9 +243,59 @@ class TestAuditGaps:
         audit = audit_gaps(params, 64)
         assert (audit.min_ratio_k2, audit.min_ratio_k1) == brute_force_gap_ratios(omega.real)
 
+    @pytest.mark.parametrize("kmax", [256, 384])
+    @pytest.mark.parametrize("beta", [0.0, 0.7, BETA_MAX])
+    def test_candidates_match_row_scan_at_scale(self, monkeypatch, kmax, beta):
+        params = KernelParams.limiting_regime(beta)
+        _, omega, _ = mode_spectrum(params, kmax)
+        assert audited(monkeypatch, params, kmax) == row_scan_gap_audit(omega.real)
+
+    @pytest.mark.parametrize("shift,worst", [
+        # Re omega of modes (5, 7) and (7, 5) lowered: the step (6, 7) of row 5
+        ({(4, 6): -0.352}, (5, (6, 7))),
+        # Re omega of modes (8, 6) and (6, 8) raised: the pair (6, 8) of row 8
+        ({(7, 5): 0.434}, (8, (6, 8))),
+    ], ids=["step", "pair"])
+    def test_least_slope_away_from_the_first_column(self, monkeypatch, shift, worst):
+        # every row still rises; the least slope is at a candidate that is not
+        # the pair (1, k1) of the unperturbed spectrum
+        re = shifted_spectrum(monkeypatch, shift)
+        assert np.all(np.diff(re, axis=1) > 0.0)
+        expected = row_scan_gap_audit(re)
+        assert expected[1] == worst
+        assert audited(monkeypatch, KernelParams.limiting_regime(0.0), 8) == expected
+
+    def test_falling_row_is_audit_failure(self, monkeypatch):
+        # row 2 falls by 1 along its step (7, 8): |difference| / 1 would pass
+        _, omega, _ = mode_spectrum(KernelParams.limiting_regime(0.0), 8)
+        shifted_spectrum(monkeypatch, {(1, 7): omega.real[1, 6] - omega.real[1, 7] - 1.0})
+        with pytest.raises(AuditFailure) as err:
+            ga.audit_gaps(KernelParams.limiting_regime(0.0), 8)
+        assert err.value.datum == (2, (7, 8))
+        assert "gap ratio -1.0" in str(err.value)
+
+    @pytest.mark.parametrize("index,change,message,datum", [
+        (np.s_[:, :], lambda w: w - 1.0, "Re omega / sqrt(lam)", (1, 1)),
+        (np.s_[0, 0], lambda w: w.real - 1e-9j, "< 0 at mode (1, 1)", (1, 1)),
+        (np.s_[1, 1], lambda w: w + 1j, "> beta/2 at mode (2, 2)", (2, 2)),
+    ], ids=["growth", "im below 0", "im above beta/2"])
+    def test_mode_failure_names_plain_ints(self, monkeypatch, index, change, message, datum):
+        def patched(params, kmax):
+            lam, omega, r = mode_spectrum(params, kmax)
+            omega = omega.copy()
+            omega[index] = change(omega[index])
+            return lam, omega, r
+
+        monkeypatch.setattr(ga, "mode_spectrum", patched)
+        with pytest.raises(AuditFailure) as err:
+            ga.audit_gaps(KernelParams.limiting_regime(0.3), 8)
+        assert message in str(err.value)
+        assert err.value.datum == datum
+        assert all(type(k) is int for k in err.value.datum)
+
     def test_asymmetric_spectrum_is_audit_failure(self, monkeypatch):
-        # the single row scan stands for the column scan only while Re omega
-        # is symmetric in (k1, k2)
+        # the rows' ratio stands for the columns' only while Re omega is
+        # symmetric in (k1, k2)
         def skewed(params, kmax):
             lam, omega, r = mode_spectrum(params, kmax)
             omega = omega.copy()
