@@ -21,7 +21,6 @@ to one thread, set before numpy loads.
 from __future__ import annotations
 
 import json
-import math
 import os
 import platform
 import statistics
@@ -38,8 +37,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import numpy as np  # noqa: E402
 
 import memwave.gap_analysis as ga  # noqa: E402
-from conftest import row_scan_gap_audit  # noqa: E402
-from memwave import AuditFailure, BETA_MAX, GapConstant, KernelParams, mode_spectrum  # noqa: E402
+from conftest import audit_gap_ratio, row_scan_gap_audit  # noqa: E402
+from memwave import BETA_MAX, KernelParams, mode_spectrum  # noqa: E402
 
 KMAX = (128, 256, 384, 512)
 BETAS = (0.0, 0.3, 0.7, BETA_MAX)
@@ -53,19 +52,6 @@ def cpu_seconds(fn, *args):
     return time.process_time() - start, value
 
 
-def failure_datum(params: KernelParams, kmax: int):
-    """The worst pair that `audit_gaps` names when no gap ratio can reach gamma."""
-    real = ga.gap_constant
-    ga.gap_constant = lambda beta: GapConstant(gamma=math.inf, beta=beta)
-    try:
-        ga.audit_gaps(params, kmax)
-    except AuditFailure as exc:
-        return exc.datum
-    finally:
-        ga.gap_constant = real
-    raise SystemExit(f"kmax {kmax}: the audit passed an unreachable gamma")
-
-
 def measure(kmax: int, beta: float, repeats: int = REPEATS) -> dict:
     """Median CPU time of the audit, its spectrum and the oracle, with their samples."""
     params = KernelParams.limiting_regime(beta)
@@ -77,7 +63,7 @@ def measure(kmax: int, beta: float, repeats: int = REPEATS) -> dict:
         samples["spectrum"].append(seconds)
         seconds, (min_ratio, worst) = cpu_seconds(row_scan_gap_audit, omega.real)
         samples["oracle"].append(seconds)
-    equal = audit.min_ratio_k2 == min_ratio and failure_datum(params, kmax) == worst
+    equal = audit_gap_ratio(params, kmax) == (min_ratio, worst)
     medians = {name: statistics.median(values) for name, values in samples.items()}
     return {
         "kmax": kmax,

@@ -185,15 +185,12 @@ def audit_gaps(params: KernelParams, kmax: int) -> GapAudit:
 
     Requires the limiting regime.  The gap ratio of row k1 is the least slope
     (Re omega_k' - Re omega_k) / (k' - k) over its admissible pairs k < k',
-    those with k' >= k1.  Such a pair's rise is that of (k, k1), when k < k1,
-    plus the steps (j, j+1) for k1 <= j < k', so its slope is a weighted mean
-    of theirs: the least slope of the row is one of its kmax - 1 candidates,
-    the pairs (k, k1) for k < k1 and the steps (j, j+1) for j >= k1.  The
-    slopes are signed, so a row that falls along an admissible pair fails;
-    `mode_spectrum`'s rows rise (Re omega = sqrt(lam) * F/2, F nonincreasing),
-    and for rising rows the least slope is the least |Re omega difference| /
-    |index difference|.  The worst pair is the first in row-major order of
-    (k1, k, k').
+    those with k' >= k1.  Such a pair's slope is a weighted mean of the slopes
+    of (k, k1), when k < k1, and of the steps (j, j+1), k1 <= j < k', so the
+    row's least slope is among those kmax - 1 candidates.  The slopes are
+    signed: a row that falls along an admissible pair fails (`mode_spectrum`'s
+    rows rise, Re omega = sqrt(lam) * F/2 with F nonincreasing).  The worst
+    pair is the first in row-major order of (k1, k, k').
 
     `mode_spectrum` makes Re omega exactly symmetric in (k1, k2), so the rows
     give both gap ratios: min_ratio_k1 (pairs in k1 at fixed k2) is
@@ -233,16 +230,25 @@ def audit_gaps(params: KernelParams, kmax: int) -> GapAudit:
             f"and, mirrored, at ((k1, k1'), k2)={worst[::-1]}",
             datum=worst,
         )
-    for failed, flat, what in (
-        (min_re_over_norm < gamma - AUDIT_SLACK, np.argmin(re_over_norm),
-         f"Re omega / sqrt(lam) = {min_re_over_norm} < gamma {gamma}"),
-        (im_min < -AUDIT_SLACK, np.argmin(im), f"Im omega = {im_min} < 0"),
-        (im_max > 0.5 * params.beta + AUDIT_SLACK, np.argmax(im),
-         f"Im omega = {im_max} > beta/2"),
-    ):
-        if failed:
-            mode = tuple(v + 1 for v in divmod(int(flat), kmax))
-            raise AuditFailure(f"{what} at mode {mode}", datum=mode)
+    if min_re_over_norm < gamma - AUDIT_SLACK:
+        k1, k2 = divmod(int(np.argmin(re_over_norm)), kmax)
+        raise AuditFailure(
+            f"Re omega / sqrt(lam) = {min_re_over_norm} < gamma {gamma} at mode "
+            f"({k1 + 1}, {k2 + 1})",
+            datum=(k1 + 1, k2 + 1),
+        )
+    if im_min < -AUDIT_SLACK:
+        k1, k2 = divmod(int(np.argmin(im)), kmax)
+        raise AuditFailure(
+            f"Im omega = {im_min} < 0 at mode ({k1 + 1}, {k2 + 1})",
+            datum=(k1 + 1, k2 + 1),
+        )
+    if im_max > 0.5 * params.beta + AUDIT_SLACK:
+        k1, k2 = divmod(int(np.argmax(im)), kmax)
+        raise AuditFailure(
+            f"Im omega = {im_max} > beta/2 at mode ({k1 + 1}, {k2 + 1})",
+            datum=(k1 + 1, k2 + 1),
+        )
     return GapAudit(
         min_ratio_k2=min_ratio,
         min_ratio_k1=min_ratio,

@@ -12,8 +12,11 @@ import math
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
+import memwave.gap_analysis as ga
 from memwave import (
+    AuditFailure,
     ExponentFamily,
+    GapConstant,
     InputError,
     Violation,
     pairwise_exponential_energy,
@@ -174,6 +177,26 @@ def row_scan_gap_audit(re):
         if ratio < min_ratio:
             min_ratio = ratio
             worst = (k1, pair)
+    return min_ratio, worst
+
+
+def audit_gap_ratio(params, kmax):
+    """(min_ratio, worst) of `gap_analysis.audit_gaps`, in the form of
+    `row_scan_gap_audit`: the ratio from a passing audit, the worst pair from
+    the AuditFailure it raises while `gap_constant` returns gamma = inf.  The
+    pair must be plain ints.  `gap_constant` is restored on return."""
+    min_ratio = ga.audit_gaps(params, kmax).min_ratio_k2
+    real = ga.gap_constant
+    ga.gap_constant = lambda beta: GapConstant(gamma=math.inf, beta=beta)
+    try:
+        ga.audit_gaps(params, kmax)
+    except AuditFailure as exc:
+        worst = exc.datum
+    else:
+        raise AssertionError(f"kmax {kmax}: the audit passed gamma = inf")
+    finally:
+        ga.gap_constant = real
+    assert all(type(k) is int for k in (worst[0], *worst[1]))
     return min_ratio, worst
 
 

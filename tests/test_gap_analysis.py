@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import memwave.gap_analysis as ga
-from conftest import brute_force_gap_ratios, row_scan_gap_audit
+from conftest import audit_gap_ratio, brute_force_gap_ratios, row_scan_gap_audit
 from memwave import (
     AuditFailure,
     BETA_MAX,
     GapAudit,
-    GapConstant,
     KernelParams,
     OutOfRange,
     PreconditionViolated,
@@ -164,17 +163,6 @@ class TestGapConstant:
             assert abs(gap_constant(beta).gamma - (SQRT2 - 1.0) * lam_sum) <= 1e-12
 
 
-def audited(monkeypatch, params, kmax):
-    """(min_ratio, worst) of the gap audit: the ratio from a passing audit, the
-    worst pair from the AuditFailure of an unreachable gamma."""
-    min_ratio = ga.audit_gaps(params, kmax).min_ratio_k2
-    monkeypatch.setattr(ga, "gap_constant", lambda beta: GapConstant(gamma=math.inf, beta=beta))
-    with pytest.raises(AuditFailure) as err:
-        ga.audit_gaps(params, kmax)
-    assert all(type(k) is int for k in (err.value.datum[0], *err.value.datum[1]))
-    return min_ratio, err.value.datum
-
-
 def shifted_spectrum(monkeypatch, shift):
     """Patch `mode_spectrum` to the beta = 0, kmax = 8 spectrum with Re omega
     of each mode (i + 1, j + 1) in `shift` and of its mirror moved by the
@@ -245,10 +233,10 @@ class TestAuditGaps:
 
     @pytest.mark.parametrize("kmax", [256, 384])
     @pytest.mark.parametrize("beta", [0.0, 0.7, BETA_MAX])
-    def test_candidates_match_row_scan_at_scale(self, monkeypatch, kmax, beta):
+    def test_candidates_match_row_scan_at_scale(self, kmax, beta):
         params = KernelParams.limiting_regime(beta)
         _, omega, _ = mode_spectrum(params, kmax)
-        assert audited(monkeypatch, params, kmax) == row_scan_gap_audit(omega.real)
+        assert audit_gap_ratio(params, kmax) == row_scan_gap_audit(omega.real)
 
     @pytest.mark.parametrize("shift,worst", [
         # Re omega of modes (5, 7) and (7, 5) lowered: the step (6, 7) of row 5
@@ -263,7 +251,7 @@ class TestAuditGaps:
         assert np.all(np.diff(re, axis=1) > 0.0)
         expected = row_scan_gap_audit(re)
         assert expected[1] == worst
-        assert audited(monkeypatch, KernelParams.limiting_regime(0.0), 8) == expected
+        assert audit_gap_ratio(KernelParams.limiting_regime(0.0), 8) == expected
 
     def test_falling_row_is_audit_failure(self, monkeypatch):
         # row 2 falls by 1 along its step (7, 8): |difference| / 1 would pass
