@@ -11,7 +11,9 @@ thresholds    beta, gamma, S, T0 table as CSV
 
 Every subcommand writes to --output (stdout when absent) and reads --config, a
 flat `key = value` file (# comments) whose keys are flag names (not the
-subcommand); command-line flags override file values.
+subcommand); command-line flags override file values.  Each flag's spelling,
+type, bounds and help are declared once, in `_FLAGS`; `_COMMANDS` names the
+flags of each subcommand.
 
 An output is a flat JSON report (gaps, observe, ingham-check) or a table of
 numbers.  Every number is spelled `"%.17g" % v`: integers in full, floats
@@ -39,20 +41,24 @@ flags or family files, a horizon T whose square is 0 or infinite, or that makes
 c0 or the bound non-finite, a mu whose load 4*(4 + 3*S) or T0 overflows, an eta
 that overflows the closed-form roots, a sample-grid file with no numbers, a
 non-finite sample (flag, file, row and column named), a grid whose sine
-coefficients overflow, and initial data whose observe inequality overflows.
+coefficients overflow, initial data whose observe inequality overflows, an
+input file that cannot be read or an --output that cannot be written, a config
+or family file that is not UTF-8, and a family file whose top level is not an
+object, whose tau is not a finite integer or whose arrays are not flat lists.
 """
 
 from __future__ import annotations
 
 import argparse
 import codecs
+import io
 import json
 import math
 import sys
 import warnings
 from dataclasses import asdict
-from functools import cache, partialmethod
-from typing import Dict, List, Optional, Sequence
+from functools import cache
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -66,12 +72,10 @@ from .errors import (
 from .gap_analysis import audit_gaps, gap_constant
 from .ingham import ExponentFamily, _certify_bound, check_hypotheses, energy_lower_bound
 from .modes import InitialData, expand, sine_coefficients
-from .observability import constant_S, thresholds, verify_observability, ObservabilityConfig
+from .observability import ObservabilityConfig, _thresholds, constant_S, verify_observability
 from .spectrum import BETA_MAX, KernelParams, _vieta_residuals, mode_spectrum
 
 __all__ = ["load_config", "parse_and_dispatch", "main"]
-
-_KMAX_LIMIT = 512
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +339,16 @@ def _write_report(payload: Dict[str, object], path: Optional[str]) -> None:
 
 
 def _write_output(text: str, path: Optional[str]) -> None:
-    if path:
+    """Write `text` to the file `path`, or to stdout when there is none; a file
+    that cannot be written is an input error naming the output flag."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", newline="") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise ValidationError("output", f"cannot write {path}: {getattr(exc, 'strerror', exc)}")
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +558,66 @@ def _read_lines(text: bytes, buf, windows, start: int, end: int, cols: int):
 
 
 # ---------------------------------------------------------------------------
-# config file and flag merging
+# flags, config file and input files
+
+
+class _Flag(NamedTuple):
+    """A flag: its spelling, value type and help, the bounds a value must meet
+    (minimum <= v <= maximum, v > above, v in choices) and its unset value."""
+
+    spelling: str
+    type: type
+    help: str
+    minimum: object = None
+    maximum: object = None
+    above: object = None
+    choices: tuple = ()
+    default: object = None
+
+
+def _boolean(raw) -> bool:
+    """A switch: True from the command line, or a config-file word."""
+    text = str(raw).strip().lower()
+    if text in ("1", "true", "yes", "on"):
+        return True
+    if text in ("0", "false", "no", "off", ""):
+        return False
+    raise ValueError(raw)
+
+
+#: The parser of each flag type, and what a value it rejects is not.
+_PARSERS = {float: (float, "a number"), int: (lambda raw: int(raw, 10), "an integer"),
+            bool: (_boolean, "a boolean"), str: (str, "a string")}
+
+#: Every flag by destination, which is also its config-file key.
+_FLAGS = {
+    "beta": _Flag("--beta", float, "kernel amplitude", minimum=0.0, maximum=BETA_MAX),
+    "eta": _Flag("--eta", float, "kernel decay rate", minimum=0.0),
+    "kmax": _Flag("--kmax", int, "modes per direction", minimum=1, maximum=512),
+    "format": _Flag("--format", str, "table format", choices=("csv", "json"), default="csv"),
+    "gamma_table": _Flag("--gamma-table", bool, "a beta,gamma CSV table instead", default=False),
+    "steps": _Flag("--steps", int, "beta intervals of the gamma table", minimum=1),
+    "family": _Flag("--family", str, "exponent family JSON file"),
+    "t": _Flag("--T", float, "time horizon", above=0.0),
+    "u0": _Flag("--u0", str, "CSV grid of initial displacement samples"),
+    "u1": _Flag("--u1", str, "CSV grid of initial velocity samples"),
+    "mu": _Flag("--mu", float, "amplitude constant (observe: estimated when absent)", above=0.0),
+    "theta": _Flag("--theta", float, "amplitude decay exponent", above=0.5, default=1.0),
+    "beta_steps": _Flag("--beta-steps", int, "beta intervals of the table", minimum=1),
+    "output": _Flag("--output", str, "write output to this path"),
+}
+
+_KNOWN_KEYS = frozenset(_FLAGS)
+
+
+def _read_file(flag: str, path: str) -> bytes:
+    """The bytes of the input file that `flag` names; an input error naming the
+    flag when it cannot be read."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise ValidationError(flag, f"cannot read {path}: {getattr(exc, 'strerror', exc)}")
 
 
 def load_config(path: str) -> Dict[str, str]:
@@ -557,15 +625,15 @@ def load_config(path: str) -> Dict[str, str]:
 
     Keys are case-insensitive with hyphens and underscores interchangeable.
     Raises ParseError with the line number for malformed lines and
-    ValidationError for unknown keys.
+    ValidationError for unknown keys, an unreadable file or one that is not
+    UTF-8 text.
     """
     try:
-        with open(path, "r") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise ValidationError("config", f"cannot read {path}: {exc.strerror}")
+        text = _read_file("config", path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError("config", f"not UTF-8 text in {path}: {exc}")
     parameters: Dict[str, str] = {}
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -582,79 +650,50 @@ def load_config(path: str) -> Dict[str, str]:
     return parameters
 
 
-class _Resolver:
-    """Merge command-line flags over config-file values with typed validation."""
+class _Values:
+    """The flags' values, a command-line value over a config-file one, each
+    parsed and checked against its `_FLAGS` entry when read.  `values[name]`
+    is required; `values.get(name)` is None when the flag is unset and has no
+    default."""
 
     def __init__(self, args: argparse.Namespace, file_params: Dict[str, str]):
-        self._args = vars(args)
-        self._file = file_params
+        given = {name: raw for name, raw in vars(args).items() if raw is not None}
+        self._raw = {**file_params, **given}
 
-    def _raw(self, name: str):
-        cli_value = self._args.get(name)
-        if cli_value is not None:
-            return cli_value, True
-        return self._file.get(name), False
-
-    def _number(self, name, parse, kind, required=False, default=None,
-                minimum=None, maximum=None, exclusive_min=None):
-        """Parse one numeric value, then require it finite and within the limits."""
-        raw, _ = self._raw(name)
+    def get(self, name: str):
+        flag = _FLAGS[name]
+        raw = self._raw.get(name)
         if raw is None:
-            if required:
-                raise ValidationError(name, "required value missing")
-            if default is None:
-                return None
-            raw = default
+            return flag.default
+        parse, kind = _PARSERS[flag.type]
         try:
             value = parse(raw)
         except (TypeError, ValueError):
             raise ValidationError(name, f"not {kind}: {raw!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ValidationError(name, f"must be finite, got {value}")
-        if minimum is not None and value < minimum:
-            raise ValidationError(name, f"must be >= {minimum}, got {value}")
-        if maximum is not None and value > maximum:
-            raise ValidationError(name, f"must be <= {maximum}, got {value}")
-        if exclusive_min is not None and value <= exclusive_min:
-            raise ValidationError(name, f"must be > {exclusive_min}, got {value}")
+        if flag.minimum is not None and value < flag.minimum:
+            raise ValidationError(name, f"must be >= {flag.minimum}, got {value}")
+        if flag.maximum is not None and value > flag.maximum:
+            raise ValidationError(name, f"must be <= {flag.maximum}, got {value}")
+        if flag.above is not None and value <= flag.above:
+            raise ValidationError(name, f"must be > {flag.above}, got {value}")
+        if flag.choices and value not in flag.choices:
+            raise ValidationError(name, f"must be one of {sorted(flag.choices)}, got {value!r}")
         return value
 
-    get_float = partialmethod(_number, parse=float, kind="a number")
-    get_int = partialmethod(_number, parse=lambda raw: int(str(raw), 10), kind="an integer")
-
-    def get_str(self, name, required=False, default=None) -> Optional[str]:
-        raw, _ = self._raw(name)
-        if raw is None:
-            if required:
-                raise ValidationError(name, "required value missing")
-            return default
-        return str(raw)
-
-    def get_choice(self, name, choices, default=None) -> str:
-        value = self.get_str(name, default=default)
-        if value not in choices:
-            raise ValidationError(name, f"must be one of {sorted(choices)}, got {value!r}")
+    def __getitem__(self, name: str):
+        value = self.get(name)
+        if value is None:
+            raise ValidationError(name, "required value missing")
         return value
-
-    def get_flag(self, name) -> bool:
-        raw, from_cli = self._raw(name)
-        if raw is None:
-            return False
-        if from_cli:
-            return bool(raw)
-        text = str(raw).strip().lower()
-        if text in ("1", "true", "yes", "on"):
-            return True
-        if text in ("0", "false", "no", "off", ""):
-            return False
-        raise ValidationError(name, f"not a boolean: {raw!r}")
 
 
 # ---------------------------------------------------------------------------
 # subcommand runners
 
 
-def _load_initial_data(res: _Resolver, kmax: int) -> InitialData:
+def _load_initial_data(values: _Values, kmax: int) -> InitialData:
     """Initial data from the CSV sample grids named by the u0 and u1 flags.
 
     A plain grid is read by `_read_grid`, any other file by `np.loadtxt`; a
@@ -663,17 +702,16 @@ def _load_initial_data(res: _Resolver, kmax: int) -> InitialData:
     errors naming the flag and the file."""
     grids = {}
     for name in ("u0", "u1"):
-        path = res.get_str(name, required=True)
+        path = values[name]
+        data = _read_file(name, path).removeprefix(codecs.BOM_UTF8)
         try:
-            with open(path, "rb") as handle:
-                grid = _read_grid(handle.read().removeprefix(codecs.BOM_UTF8))
+            grid = _read_grid(data)
             if grid is None:
                 with warnings.catch_warnings():
                     # an empty file is an input error, reported below
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    grid = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8-sig")
-        except OSError as exc:
-            raise ValidationError(name, f"cannot read {path}: {exc.strerror}")
+                    grid = np.loadtxt(io.StringIO(data.decode("utf-8"), newline=None),
+                                      delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ValidationError(name, f"malformed CSV grid in {path}: {exc}")
         if not grid.size:
@@ -693,11 +731,8 @@ def _load_initial_data(res: _Resolver, kmax: int) -> InitialData:
     return InitialData(*coefficients, kmax)
 
 
-def _run_spectrum(res: _Resolver, output: Optional[str]) -> None:
-    beta = res.get_float("beta", required=True, minimum=0.0, maximum=BETA_MAX)
-    eta = res.get_float("eta", required=True, minimum=0.0)
-    kmax = res.get_int("kmax", required=True, minimum=1, maximum=_KMAX_LIMIT)
-    fmt = res.get_choice("format", {"csv", "json"}, default="csv")
+def _run_spectrum(values: _Values, output: Optional[str]) -> None:
+    beta, eta, kmax, fmt = values["beta"], values["eta"], values["kmax"], values["format"]
     params = KernelParams(beta=beta, eta=eta)
     lam, omega, r = mode_spectrum(params, kmax)
     residual = np.maximum.reduce(_vieta_residuals(
@@ -707,54 +742,64 @@ def _run_spectrum(res: _Resolver, output: Optional[str]) -> None:
     _write_output(_mode_table(columns, fmt), output)
 
 
-def _run_gaps(res: _Resolver, output: Optional[str]) -> None:
-    if res.get_flag("gamma_table"):
-        steps = res.get_int("steps", required=True, minimum=1)
-        betas = np.linspace(0.0, BETA_MAX, steps + 1).tolist()
+def _run_gaps(values: _Values, output: Optional[str]) -> None:
+    if values["gamma_table"]:
+        betas = np.linspace(0.0, BETA_MAX, values["steps"] + 1).tolist()
         _write_output(_csv({"beta": betas, "gamma": [gap_constant(b).gamma for b in betas]}),
                       output)
         return
-    beta = res.get_float("beta", required=True, minimum=0.0, maximum=BETA_MAX)
-    kmax = res.get_int("kmax", required=True, minimum=2, maximum=_KMAX_LIMIT)
+    beta, kmax = values["beta"], values["kmax"]
     audit = audit_gaps(KernelParams.limiting_regime(beta), kmax)
     _write_report(asdict(audit), output)
 
 
 def _load_family(path: str) -> ExponentFamily:
+    """The exponent family of a JSON file: one object holding the arrays
+    omega_re, omega_im, r, C_re, C_im and R and the numbers gamma, tau (an
+    integer), theta and mu."""
+    data = _read_file("family", path)
     try:
-        with open(path, "r") as handle:
-            raw = json.load(handle)
-    except OSError as exc:
-        raise ValidationError("family", f"cannot read {path}: {exc.strerror}")
-    except json.JSONDecodeError as exc:
+        raw = json.loads(data)
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
         raise ValidationError("family", f"malformed JSON in {path}: {exc}")
+    if not isinstance(raw, dict):
+        raise ValidationError("family", f"the top level of {path} is not a JSON object")
     required = ["omega_re", "omega_im", "r", "C_re", "C_im", "R",
                 "gamma", "tau", "theta", "mu"]
     missing = [key for key in required if key not in raw]
     if missing:
         raise ValidationError("family", f"missing keys: {', '.join(missing)}")
+    tau = raw["tau"]
+    if isinstance(tau, float) and not tau.is_integer():
+        raise ValidationError("family", f"tau must be a finite integer, got {tau}")
+
+    def pair(re: str, im: str) -> np.ndarray:
+        """re + i*im of two arrays of one shape, without the NaN of inf * 1j."""
+        real, imag = (np.asarray(raw[key], dtype=float) for key in (re, im))
+        if real.shape != imag.shape:
+            raise ValueError(f"{re} and {im} differ in shape: {real.shape} and {imag.shape}")
+        z = real.astype(complex)
+        z.imag = imag
+        return z
+
     try:
-        omegas = np.asarray(raw["omega_re"], dtype=float) + 1j * np.asarray(
-            raw["omega_im"], dtype=float)
         family = ExponentFamily(
-            omegas=omegas,
+            omegas=pair("omega_re", "omega_im"),
             rs=np.asarray(raw["r"], dtype=float),
-            Cs=np.asarray(raw["C_re"], dtype=float) + 1j * np.asarray(
-                raw["C_im"], dtype=float),
+            Cs=pair("C_re", "C_im"),
             Rs=np.asarray(raw["R"], dtype=float),
             gamma=float(raw["gamma"]),
-            tau=int(raw["tau"]),
+            tau=int(tau),
             theta=float(raw["theta"]),
             mu=float(raw["mu"]),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError("family", str(exc))
     return family
 
 
-def _run_ingham_check(res: _Resolver, output: Optional[str]) -> None:
-    family_path = res.get_str("family", required=True)
-    horizon = res.get_float("t", required=True, exclusive_min=0.0)
+def _run_ingham_check(values: _Values, output: Optional[str]) -> None:
+    family_path, horizon = values["family"], values["t"]
     family = _load_family(family_path)
     violations = check_hypotheses(family, horizon)
     report = energy_lower_bound(family, horizon, check=False)
@@ -763,119 +808,73 @@ def _run_ingham_check(res: _Resolver, output: Optional[str]) -> None:
         _certify_bound(report)
 
 
-def _run_modes(res: _Resolver, output: Optional[str]) -> None:
-    beta = res.get_float("beta", required=True, minimum=0.0, maximum=BETA_MAX)
-    kmax = res.get_int("kmax", required=True, minimum=1, maximum=_KMAX_LIMIT)
-    expansion = expand(KernelParams.limiting_regime(beta), _load_initial_data(res, kmax))
+def _run_modes(values: _Values, output: Optional[str]) -> None:
+    beta, kmax = values["beta"], values["kmax"]
+    expansion = expand(KernelParams.limiting_regime(beta), _load_initial_data(values, kmax))
     columns = {"C_re": expansion.C.real, "C_im": expansion.C.imag, "R": expansion.R,
                "re_omega": expansion.omega.real, "im_omega": expansion.omega.imag,
                "r": expansion.r}
     _write_output(_mode_table(columns, "json"), output)
 
 
-def _run_observe(res: _Resolver, output: Optional[str]) -> None:
-    beta = res.get_float("beta", required=True, minimum=0.0, maximum=BETA_MAX)
-    horizon = res.get_float("t", required=True, exclusive_min=0.0)
-    kmax = res.get_int("kmax", required=True, minimum=1, maximum=_KMAX_LIMIT)
-    mu = res.get_float("mu", exclusive_min=0.0)
-    theta = res.get_float("theta", default=1.0, exclusive_min=0.5)
-    data = _load_initial_data(res, kmax)
+def _run_observe(values: _Values, output: Optional[str]) -> None:
+    beta, horizon, kmax = values["beta"], values["t"], values["kmax"]
+    mu, theta = values.get("mu"), values["theta"]
+    data = _load_initial_data(values, kmax)
     config = ObservabilityConfig(beta=beta, T=horizon, kmax=kmax, mu=mu, theta=theta)
     report = verify_observability(config, data)
     _write_report(asdict(report), output)
 
 
-def _run_thresholds(res: _Resolver, output: Optional[str]) -> None:
-    mu = res.get_float("mu", required=True, exclusive_min=0.0)
-    theta = res.get_float("theta", default=1.0, exclusive_min=0.5)
-    steps = res.get_int("beta_steps", required=True, minimum=1)
+def _run_thresholds(values: _Values, output: Optional[str]) -> None:
+    mu, theta, steps = values["mu"], values["theta"], values["beta_steps"]
     S = constant_S(mu, theta)
     betas = np.linspace(0.0, BETA_MAX, steps + 1).tolist()
-    beta0, t0 = zip(*(thresholds(b, mu, theta) for b in betas))
+    beta0, t0 = _thresholds(betas, mu, S)
     columns = {"beta": betas, "gamma": [gap_constant(b).gamma for b in betas],
-               "S": [S] * len(betas), "T0": t0, "beta0_global": beta0}
+               "S": [S] * len(betas), "T0": t0, "beta0_global": [beta0] * len(betas)}
     _write_output(_csv(columns), output)
 
 
 # ---------------------------------------------------------------------------
 # parser assembly and dispatch
 
+#: Every subcommand: its runner, its help and its flags besides --config and
+#: --output, which all take.
+_COMMANDS = {
+    "spectrum": (_run_spectrum, "per-mode characteristic roots table",
+                 ("beta", "eta", "kmax", "format")),
+    "gaps": (_run_gaps, "gap audit or gamma table", ("beta", "kmax", "gamma_table", "steps")),
+    "ingham-check": (_run_ingham_check, "energy lower bound for a family file", ("family", "t")),
+    "modes": (_run_modes, "recover per-mode coefficients from sampled data",
+              ("beta", "kmax", "u0", "u1")),
+    "observe": (_run_observe, "boundary observability report",
+                ("beta", "t", "kmax", "mu", "theta", "u0", "u1")),
+    "thresholds": (_run_thresholds, "beta,gamma,S,T0 table", ("mu", "theta", "beta_steps")),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", default=None, help="write output to this path")
-    common.add_argument("--config", default=None,
-                        help="key = value config file; flags override file values")
-
+    """The parser of every subcommand, from `_COMMANDS` and `_FLAGS`.  Flags
+    are kept as given (None when absent), for `_Values` to parse and check."""
     parser = argparse.ArgumentParser(
         prog="memwave",
         description="Spectrum, gap and boundary-observability diagnostics for "
                     "the memory wave equation on the unit-pi square.",
     )
     sub = parser.add_subparsers(dest="subcommand")
-
-    p = sub.add_parser("spectrum", parents=[common],
-                       help="per-mode characteristic roots table")
-    p.add_argument("--beta", default=None)
-    p.add_argument("--eta", default=None)
-    p.add_argument("--kmax", default=None)
-    p.add_argument("--format", default=None, choices=("csv", "json"))
-
-    p = sub.add_parser("gaps", parents=[common], help="gap audit or gamma table")
-    p.add_argument("--beta", default=None)
-    p.add_argument("--kmax", default=None)
-    p.add_argument("--gamma-table", dest="gamma_table", action="store_true",
-                   default=None, help="emit a beta,gamma CSV table instead")
-    p.add_argument("--steps", default=None)
-
-    p = sub.add_parser("ingham-check", parents=[common],
-                       help="energy lower bound for a family file")
-    p.add_argument("--family", default=None)
-    p.add_argument("--T", dest="t", default=None)
-
-    p = sub.add_parser("modes", parents=[common],
-                       help="recover per-mode coefficients from sampled data")
-    p.add_argument("--beta", default=None)
-    p.add_argument("--kmax", default=None)
-    p.add_argument("--u0", default=None)
-    p.add_argument("--u1", default=None)
-
-    p = sub.add_parser("observe", parents=[common],
-                       help="boundary observability report")
-    p.add_argument("--beta", default=None)
-    p.add_argument("--T", dest="t", default=None)
-    p.add_argument("--kmax", default=None)
-    p.add_argument("--mu", default=None)
-    p.add_argument("--theta", default=None)
-    p.add_argument("--u0", default=None)
-    p.add_argument("--u1", default=None)
-
-    p = sub.add_parser("thresholds", parents=[common],
-                       help="beta,gamma,S,T0 table")
-    p.add_argument("--mu", default=None)
-    p.add_argument("--theta", default=None)
-    p.add_argument("--beta-steps", dest="beta_steps", default=None)
-
+    for command, (_, help_text, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="key = value config file; flags override file values")
+        for name in ("output", *names):
+            flag = _FLAGS[name]
+            p.add_argument(flag.spelling, dest=name, default=None, help=flag.help,
+                           action="store_true" if flag.type is bool else "store")
     return parser
-
-
-def _config_keys(parser: argparse.ArgumentParser) -> frozenset:
-    """Config-file keys: the destinations of every flag of every subcommand.
-
-    The subcommand itself is chosen on the command line only, so it is not a key.
-    """
-    subparsers = next(action for action in parser._actions
-                      if isinstance(action, argparse._SubParsersAction))
-    dests = {action.dest for p in (parser, *subparsers.choices.values())
-             for action in p._actions}
-    return frozenset(dests - {"config", "help", "subcommand"})
 
 
 #: The one parser of the process; argparse keeps no state between parses.
 _PARSER = _build_parser()
-_KNOWN_KEYS = _config_keys(_PARSER)
-_RUNNERS = {"spectrum": _run_spectrum, "gaps": _run_gaps, "ingham-check": _run_ingham_check,
-            "modes": _run_modes, "observe": _run_observe, "thresholds": _run_thresholds}
 
 
 def parse_and_dispatch(argv) -> int:
@@ -889,10 +888,8 @@ def parse_and_dispatch(argv) -> int:
         return 2
 
     try:
-        res = _Resolver(args, load_config(args.config) if args.config else {})
-        output = res.get_str("output")
-
-        _RUNNERS[args.subcommand](res, output)
+        values = _Values(args, load_config(args.config) if args.config else {})
+        _COMMANDS[args.subcommand][0](values, values.get("output"))
         return 0
     except CertificationFailure as exc:
         datum = getattr(exc, "datum", None)

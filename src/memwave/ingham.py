@@ -118,10 +118,12 @@ class ExponentFamily:
         object.__setattr__(self, "Cs", np.asarray(self.Cs, dtype=complex))
         object.__setattr__(self, "Rs", np.asarray(self.Rs, dtype=float))
         for name in ("omegas", "rs", "Cs", "Rs"):
-            bad = np.flatnonzero(~np.isfinite(getattr(self, name)))
+            values = getattr(self, name)
+            if values.ndim != 1:
+                raise InputError(f"{name} must be a 1-D array, got shape {values.shape}")
+            bad = np.flatnonzero(~np.isfinite(values))
             if bad.size:
-                raise InputError(
-                    f"{name} must be finite, got {getattr(self, name)[bad[0]]} at n={bad[0] + 1}")
+                raise InputError(f"{name} must be finite, got {values[bad[0]]} at n={bad[0] + 1}")
         n = len(self.omegas)
         if not (len(self.rs) == len(self.Cs) == len(self.Rs) == n):
             raise InputError("omegas, rs, Cs, Rs must have equal lengths")
@@ -575,7 +577,8 @@ def check_hypotheses(family: ExponentFamily, T: float) -> list:
             Violation("root-decay", (int(a) + 1,), f"r={family.rs[a]} > -Im omega={-im[a]}")
         )
     if family.theta > 0.5 and family.mu > 0.0:
-        allowed = family.mu * np.abs(family.Cs) / idx**family.theta
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge theta allows no R
+            allowed = family.mu * np.abs(family.Cs) / idx**family.theta
         amp_bad = np.abs(family.Rs) > allowed + _HYP_SLACK * np.maximum(1.0, allowed)
         for a in np.nonzero(amp_bad)[0]:
             violations.append(
@@ -602,16 +605,18 @@ def energy_lower_bound(family: ExponentFamily, T: float, check: bool = True) -> 
         if violations:
             raise HypothesisError(violations)
     S = constant_S(family.mu, family.theta)
-    gamma, tau = family.gamma, family.tau
+    # a numpy gamma: a denominator that underflows to 0 makes rhs infinite,
+    # rejected below, not a ZeroDivisionError; sub is a float again, as is rhs
+    gamma, tau = np.float64(family.gamma), family.tau
     im = family.omegas.imag
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         weights = np.abs(family.Cs) ** 2 * (1.0 + np.exp(-2.0 * im * T))
         head = weights[tau - 1:]
         im_head = im[tau - 1:]
         main = 2.0 * T * PI * float(
             np.sum((1.0 / (PI * PI + 4.0 * T * T * im_head**2) - 2.0 * S / (T * T * gamma * gamma)) * head)
         )
-        sub = (8.0 * PI / (T * gamma * gamma)) * (1.0 + S / 2.0) * float(np.sum(weights))
+        sub = float(8.0 * PI / (T * gamma * gamma)) * (1.0 + S / 2.0) * float(np.sum(weights))
     rhs = main - sub
     _check_horizon(T, rhs=rhs)
     lhs = energy_integral(family, T)

@@ -119,7 +119,13 @@ def thresholds(beta: float, mu: float, theta: float = 1.0):
     """
     if not (0.0 <= beta <= BETA_MAX + 1e-12):
         raise OutOfRange(f"beta must lie in [0, 2/sqrt(3)], got {beta}")
-    S = constant_S(mu, theta)
+    beta0, [t0] = _thresholds([beta], mu, constant_S(mu, theta))
+    return beta0, t0
+
+
+def _thresholds(betas, mu: float, S: float) -> tuple:
+    """beta0 and the list of T0 at each of `betas`, for S = constant_S(mu, theta):
+    one bisection, as beta0 depends on S alone (see `thresholds`)."""
     coeff = 4.0 * (4.0 + 3.0 * S)
 
     def height(b: float) -> float:
@@ -133,15 +139,16 @@ def thresholds(beta: float, mu: float, theta: float = 1.0):
             lo = mid
         else:
             hi = mid
-    beta0 = 0.5 * (lo + hi)
-
-    denom = gap_constant(beta).gamma ** 2 - coeff * beta * beta
-    if denom <= 0.0:
-        return beta0, math.inf
-    t0 = 2.0 * PI * math.sqrt((4.0 + 3.0 * S) / denom)
-    if not math.isfinite(t0):
-        raise OutOfRange(f"mu={mu} makes T0 overflow at beta={beta}")
-    return beta0, t0
+    t0 = []
+    for beta in betas:
+        denom = height(beta)
+        if denom <= 0.0:
+            t0.append(math.inf)
+            continue
+        t0.append(2.0 * PI * math.sqrt((4.0 + 3.0 * S) / denom))
+        if not math.isfinite(t0[-1]):
+            raise OutOfRange(f"mu={mu} makes T0 overflow at beta={beta}")
+    return 0.5 * (lo + hi), t0
 
 
 def observability_constant(T: float, beta: float, S: float) -> float:

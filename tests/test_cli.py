@@ -1,11 +1,13 @@
 """Subcommand behavior, formats, config merging, exit codes, determinism."""
 
+import contextlib
 import dataclasses
 import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 import warnings
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -479,6 +481,15 @@ class TestSpectrumCommand:
         assert status == 2
         assert "eta" in err
 
+    def test_unknown_format_is_one_line_from_flag_or_file(self, tmp_path, capsys):
+        conf = tmp_path / "format.conf"
+        conf.write_text("format = xml\n")
+        argv = ["spectrum", "--beta", "0", "--eta", "0", "--kmax", "2"]
+        for extra in (["--format", "xml"], ["--config", str(conf)]):
+            status, out, err = run(argv + extra, capsys)
+            assert (status, out) == (2, "")
+            assert err == "error: format: must be one of ['csv', 'json'], got 'xml'\n"
+
 
 class TestGapsCommand:
     def test_audit_json(self, capsys):
@@ -501,6 +512,11 @@ class TestGapsCommand:
     def test_beta_out_of_range(self, capsys):
         status, _, err = run(["gaps", "--beta", "2.0", "--kmax", "8"], capsys)
         assert status == 2
+
+    def test_kmax_below_2_is_the_audits_own_bound(self, capsys):
+        # kmax has one bound for every subcommand; the audit states its own
+        status, out, err = run(["gaps", "--beta", "0.3", "--kmax", "1"], capsys)
+        assert (status, out, err) == (2, "", "error: kmax must be >= 2, got 1\n")
 
 
 class TestInghamCheckCommand:
@@ -754,6 +770,18 @@ class TestThresholdsCommand:
         last = lines[-1].split(",")
         assert last[3] == "inf"
 
+    def test_beta0_bisected_once_per_table(self, capsys, monkeypatch):
+        # beta0 depends on mu and theta only: 34 bisection steps, not 34 a row
+        import memwave.observability as observability
+
+        calls = []
+        real = observability.gap_constant
+        monkeypatch.setattr(observability, "gap_constant", lambda b: calls.append(b) or real(b))
+        status, out, _ = run(["thresholds", "--mu", "1", "--beta-steps", "64"], capsys)
+        assert status == 0 and len(out.splitlines()) == 66
+        assert len(calls) == 34 + 65
+        assert len({line.split(",")[4] for line in out.splitlines()[1:]}) == 1
+
 
 def concrete_errors():
     """Every subclass of MemwaveError below the two exit-code bases."""
@@ -999,6 +1027,87 @@ class TestConfigFile:
         assert len(out.strip().split("\n")) == 4
 
 
+GOLDEN_FAMILY = Path(__file__).resolve().parent / "golden" / "family.json"
+
+
+def write_golden_family(tmp_path, **changes):
+    """The golden family file with `changes`, its path."""
+    family = {**json.loads(GOLDEN_FAMILY.read_text()), **changes}
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family))
+    return str(path)
+
+
+class TestFileBoundary:
+    """Input files are read, and --output is written, through one boundary: a
+    file that cannot be used is bad input (exit 2, one line naming the flag)."""
+
+    THRESHOLDS = ["thresholds", "--mu", "1", "--beta-steps", "2"]
+
+    @pytest.mark.parametrize("where, reason", [("missing/x.csv", "No such file or directory"),
+                                               ("", "Is a directory")])
+    def test_unwritable_output_exits_2(self, where, reason, tmp_path, capsys):
+        path = str(tmp_path / where)
+        status, out, err = run(self.THRESHOLDS + ["--output", path], capsys)
+        assert (status, out) == (2, "")
+        assert err == f"error: output: cannot write {path}: {reason}\n"
+
+    @pytest.mark.parametrize("key", ["output", "family"])
+    def test_nul_byte_path_from_config_exits_2(self, key, tmp_path, capsys):
+        conf = tmp_path / "nul.conf"
+        conf.write_text(f"{key} = a\0b\n")
+        argv = self.THRESHOLDS if key == "output" else ["ingham-check", "--T", "4"]
+        status, _, err = run(argv + ["--config", str(conf)], capsys)
+        assert status == 2
+        assert err.startswith(f"error: {key}: cannot ") and err.endswith(": embedded null byte\n")
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        conf = tmp_path / "latin1.conf"
+        conf.write_bytes(b"mu = 1\nbeta_steps = 2 # \xff\n")
+        status, out, err = run(["thresholds", "--config", str(conf)], capsys)
+        assert (status, out) == (2, "")
+        assert err == (f"error: config: not UTF-8 text in {conf}: 'utf-8' codec can't decode "
+                       f"byte 0xff in position 24: invalid start byte\n")
+
+    def test_non_utf8_family_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(GOLDEN_FAMILY.read_bytes().replace(b"{", b"{\xff", 1))
+        status, out, err = run(["ingham-check", "--family", str(path), "--T", "4"], capsys)
+        assert (status, out) == (2, "")
+        assert err == (f"error: family: malformed JSON in {path}: 'utf-8' codec can't decode "
+                       f"byte 0xff in position 1: invalid start byte\n")
+
+    def test_deeply_nested_family_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        status, out, err = run(["ingham-check", "--family", str(path), "--T", "4"], capsys)
+        assert (status, out) == (2, "")
+        assert err.startswith(f"error: family: malformed JSON in {path}: maximum recursion depth")
+
+    @pytest.mark.parametrize("top", [5, [1.0], "family", None])
+    def test_family_top_level_must_be_an_object(self, top, tmp_path, capsys):
+        path = tmp_path / "top.json"
+        path.write_text(json.dumps(top))
+        status, out, err = run(["ingham-check", "--family", str(path), "--T", "4"], capsys)
+        assert (status, out) == (2, "")
+        assert err == f"error: family: the top level of {path} is not a JSON object\n"
+
+    @pytest.mark.parametrize("tau, shown", [(1e400, "inf"), (math.nan, "nan"), (1.5, "1.5")])
+    def test_family_tau_must_be_a_finite_integer(self, tau, shown, tmp_path, capsys):
+        path = write_golden_family(tmp_path, tau=tau)
+        status, out, err = run(["ingham-check", "--family", path, "--T", "4"], capsys)
+        assert (status, out) == (2, "")
+        assert err == f"error: family: tau must be a finite integer, got {shown}\n"
+
+    def test_family_nested_arrays_exit_2(self, tmp_path, capsys):
+        family = json.loads(GOLDEN_FAMILY.read_text())
+        arrays = ("omega_re", "omega_im", "r", "C_re", "C_im", "R")
+        path = write_golden_family(tmp_path, **{key: [family[key]] for key in arrays})
+        status, out, err = run(["ingham-check", "--family", path, "--T", "4"], capsys)
+        assert (status, out) == (2, "")
+        assert err == "error: family: omegas must be a 1-D array, got shape (1, 2)\n"
+
+
 class TestDeterminism:
     COMMANDS = (
         ["spectrum", "--beta", "0.4", "--eta", "0.6", "--kmax", "6", "--format", "csv"],
@@ -1016,3 +1125,112 @@ class TestDeterminism:
         assert parse_and_dispatch(argv + ["--output", str(out_b)]) == 0
         capsys.readouterr()
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+#: Flag values of the fuzz that parse and are in range; {tmp} stands for a
+#: fresh directory that is also the working directory.  The golden grids are
+#: 13 x 13, enough for kmax 6; kmax stays at most 8 and a step count at most 64.
+GRIDS = [str(GOLDEN_FAMILY.parent / "u0.csv"), str(GOLDEN_FAMILY.parent / "u1.csv")]
+GOOD = {"--beta": ["0", "0.01", "0.3", "1"], "--eta": ["0", "0.45", "2"],
+        "--kmax": ["1", "2", "3", "6", "8"], "--format": ["csv", "json"],
+        "--gamma-table": [None, "yes"], "--steps": ["1", "8", "64"],
+        "--beta-steps": ["1", "8", "64"], "--T": ["4", "20", "50"],
+        "--mu": [None, "0.5", "1", "1e300"], "--theta": [None, "0.75", "1", "1e300"],
+        "--family": ["{tmp}/family.json"], "--u0": GRIDS, "--u1": GRIDS,
+        "--output": [None, "{tmp}/out"]}
+#: Values that do not parse, are out of range or not finite, or only just
+#: pass; and paths of a file in a missing directory, a directory, a file that
+#: is not a grid and a path with a NUL byte.
+TRICKY = ["", "nan", "-inf", "1e400", "0", "-1", "abc", "0x10", "1e-300", "1e300", "0.5", "2"]
+PATHS = ["{tmp}/missing/x", "{tmp}", "{tmp}/family.json", "a\0b"]
+#: The flags of each subcommand.
+FUZZ_FLAGS = {
+    "spectrum": ("--beta", "--eta", "--kmax", "--format"),
+    "gaps": ("--beta", "--kmax", "--gamma-table", "--steps"),
+    "ingham-check": ("--family", "--T"),
+    "modes": ("--beta", "--kmax", "--u0", "--u1"),
+    "observe": ("--beta", "--T", "--kmax", "--mu", "--theta", "--u0", "--u1"),
+    "thresholds": ("--mu", "--theta", "--beta-steps"),
+}
+#: Config lines that are not flag values.
+JUNK = ["# note\n", "junk\n", "= 1\n", "betta = 1\n", "subcommand = gaps\n", "mu = 1\xff\n"]
+#: Family entries of the fuzz: JSON values of every kind, flat, nested and huge.
+FAMILY_VALUES = [5, 0, -1, 1.5, 1e-200, 1e300, math.inf, math.nan, "abc", None, True, [],
+                 [1.0], [3.0, 6.5, 9.0], [[3.0, 6.5]], {"a": 1}, 10**400]
+FAMILY_KEYS = ["omega_re", "omega_im", "r", "C_re", "C_im", "R", "gamma", "tau", "theta", "mu"]
+
+
+@st.composite
+def cli_runs(draw):
+    """(argv, config file bytes or None, family file bytes) of one fuzzed run.
+
+    At most one input is at fault: one flag, the config file or the family
+    file; every other flag is good, so a run gets as far as its fault."""
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    flags = FUZZ_FLAGS[command] + ("--output",)
+    fault = draw(st.sampled_from([None, "config", "family", *flags]))
+    argv, config = [command], ""
+    for flag in flags:
+        if flag != fault:
+            value = draw(st.sampled_from(GOOD[flag]))
+        elif flag in ("--family", "--u0", "--u1", "--output"):
+            value = draw(st.sampled_from(PATHS + [None]))
+        else:
+            value = draw(st.sampled_from(TRICKY + [None]))
+        if value is None:
+            continue
+        if draw(st.booleans()):  # from the config file
+            config += f"{flag.lstrip('-')} = {value}\n"
+        elif flag == "--gamma-table":
+            argv.append(flag)
+        else:
+            argv.append(f"{flag}={value}")
+    if fault == "config":
+        config += draw(st.sampled_from(JUNK))
+    family = json.loads(GOLDEN_FAMILY.read_text())
+    if fault == "family":
+        changes = st.dictionaries(st.sampled_from(FAMILY_KEYS), st.sampled_from(FAMILY_VALUES),
+                                  min_size=1, max_size=2)
+        family = draw(changes.map(lambda c: {**family, **c}) | st.sampled_from(FAMILY_VALUES))
+    family = json.dumps(family).encode()
+    if fault == "family" and draw(st.booleans()):
+        family = b"\xff" + family
+    return argv, config.encode("latin-1") or None, family
+
+
+def family_bytes(**changes):
+    return json.dumps({**json.loads(GOLDEN_FAMILY.read_text()), **changes}).encode()
+
+
+INGHAM_CHECK = ["ingham-check", "--T=4", "--family={tmp}/family.json"]
+
+
+class TestFuzz:
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(cli_runs())
+    @example((["thresholds", "--mu=1", "--beta-steps=2", "--output={tmp}/missing/x"], None,
+              family_bytes()))
+    @example((INGHAM_CHECK, None, b"5"))
+    @example((INGHAM_CHECK, None, family_bytes(gamma=1e-200)))  # T*gamma^2 underflows
+    @example((INGHAM_CHECK, None, family_bytes(theta=1e300)))  # n**theta overflows
+    @example((INGHAM_CHECK, None, family_bytes(omega_im=math.inf)))  # inf * 1j
+    def test_every_run_exits_0_1_or_2(self, case):
+        # bad input exits 2 with one line on stderr (argparse prints its usage
+        # too), a failed certificate 1; no input raises an exception
+        argv, config, family = case
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+            Path(tmp, "family.json").write_bytes(family)
+            if config is not None:
+                Path(tmp, "run.conf").write_bytes(config.replace(b"{tmp}", tmp.encode()))
+                argv = argv + ["--config", "run.conf"]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                status = parse_and_dispatch([arg.replace("{tmp}", tmp) for arg in argv])
+        err = err.getvalue()
+        assert status in (0, 1, 2), err
+        assert not caught, [str(w.message) for w in caught]  # a warning goes to stderr
+        assert (status == 0) == (err == ""), err
+        if status and not err.startswith("usage:"):
+            assert err.count("\n") == 1, err

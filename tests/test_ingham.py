@@ -298,6 +298,12 @@ class TestHorizonGuard:
         with pytest.raises(OutOfRange):
             energy_lower_bound(family, 1e-160, check=False)
 
+    def test_gamma_whose_square_underflows_is_out_of_range(self):
+        # T*gamma^2 underflows to 0: the bound's right side is infinite
+        family = single_frequency_family(3.0, 0.5, gamma=1e-200)
+        with pytest.raises(OutOfRange, match=r"^rhs=-inf is not finite at T=4.0$"):
+            energy_lower_bound(family, 4.0, check=False)
+
     @pytest.mark.parametrize("name", ["omegas", "rs", "Cs", "Rs"])
     def test_non_finite_entries_rejected(self, name):
         arrays = {"omegas": [3.0, 6.0], "rs": [-0.1, -0.2], "Cs": [0.5, 0.25],
@@ -311,6 +317,16 @@ class TestHorizonGuard:
         for gamma in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(InputError):
                 single_frequency_family(3.0, 0.5, gamma=gamma)
+
+    @pytest.mark.parametrize("name", ["omegas", "rs", "Cs", "Rs"])
+    def test_arrays_must_be_one_dimensional(self, name):
+        # a nested or scalar array would broadcast in check_hypotheses
+        arrays = {"omegas": [3.0, 6.0], "rs": [-0.1, -0.2], "Cs": [0.5, 0.25],
+                  "Rs": [0.05, 0.02]}
+        for bad, shape in (([arrays[name]], (1, 2)), (arrays[name][0], ())):
+            with pytest.raises(InputError) as err:
+                ExponentFamily(**{**arrays, name: bad}, gamma=3.0, tau=1)
+            assert str(err.value) == f"{name} must be a 1-D array, got shape {shape}"
 
 
 class TestConstantS:
@@ -344,6 +360,14 @@ class TestCheckHypotheses:
         rng = np.random.default_rng(13)
         family, T = random_admissible_family(rng, n=10)
         assert check_hypotheses(family, T) == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_theta_allows_no_decaying_amplitude(self):
+        # 2**theta overflows to inf without a warning: the bound mu*|C|/n^theta is 0
+        family = ExponentFamily(omegas=[3.0, 6.0], rs=[0.0, 0.0], Cs=[0.5, 0.5],
+                                Rs=[0.0, 0.01], gamma=3.0, tau=1, theta=1e300)
+        [violation] = check_hypotheses(family, 4.0)
+        assert str(violation) == "amplitude at n=(2,): |R|=0.01 > mu*|C|/n^theta=0.0"
 
     def test_separation_violation_located(self):
         family = ExponentFamily(
