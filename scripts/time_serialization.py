@@ -12,8 +12,9 @@ row templates) from `tests/conftest.py`.  Three measurements:
   (`time.process_time`, user + system of this process).  The tables are those
   of `modes` (beta 0.3, normal random sine coefficients, seed 701) and
   `spectrum --format json` and `--format csv` (beta 0.4, eta 0.6).  Each writer
-  runs REPEATS times; the median is recorded with every sample, and the two
-  texts must be equal byte for byte.
+  runs REPEATS times; the median is recorded with every sample.  The CLI's
+  writer returns the texts of its row blocks, which the CLI writes in turn;
+  they are joined, untimed, and must equal the reference text byte for byte.
 - Speller.  CPU nanoseconds per number of `cli._spell` and of the `%` operator
   over the same 36 864 numbers (the C_re column of the kmax-192 modes table),
   median of REPEATS; the cells must equal the `%` texts.
@@ -102,8 +103,9 @@ def measure(table: str, fmt: str, kmax: int, repeats: int = REPEATS) -> dict:
     columns = (modes_columns if table == "modes" else spectrum_columns)(kmax)
     samples = {"cli": [], "reference": []}
     for _ in range(repeats):
-        seconds, text = cpu_seconds(_mode_table, columns, fmt)
+        seconds, texts = cpu_seconds(_mode_table, columns, fmt)
         samples["cli"].append(seconds)
+        text = "".join(texts)
         seconds, reference = cpu_seconds(reference_mode_table, columns, fmt)
         samples["reference"].append(seconds)
         if text != reference:

@@ -38,13 +38,15 @@ Exit status follows the error type: 0 on success, 2 for an `errors.InputError`
 (a certified check failed; offending datum printed); any other exception is a
 bug and propagates.  Rejected as input: non-finite numbers (`inf`, `nan`) in
 flags or family files, a horizon T whose square is 0 or infinite, or that makes
-c0 or the bound non-finite, a mu whose load 4*(4 + 3*S) or T0 overflows, an eta
-that overflows the closed-form roots, a sample-grid file with no numbers, a
-non-finite sample (flag, file, row and column named), a grid whose sine
-coefficients overflow, initial data whose observe inequality overflows, an
-input file that cannot be read or an --output that cannot be written, a config
-or family file that is not UTF-8, and a family file whose top level is not an
-object, whose tau is not a finite integer or whose arrays are not flat lists.
+c0 non-finite, a family whose bound or energy overflows, a mu whose load
+4*(4 + 3*S) or T0 overflows, an eta that overflows the closed-form roots, a
+sample-grid file with no numbers, a non-finite sample (flag, file, row and
+column named), a grid whose sine coefficients overflow, initial data whose
+observe inequality overflows, an input file that cannot be read or an --output
+that cannot be written, an empty string value (an empty --output path, say), a
+config or family file that is not UTF-8, and a family file whose top level is
+not an object, whose tau is not a finite integer or whose arrays are not flat
+lists.
 """
 
 from __future__ import annotations
@@ -144,11 +146,12 @@ def _layout(exponent: int, negative: int, digits: int) -> list:
 
 
 @cache
-def _layouts() -> np.ndarray:
-    """Cell layouts by ((exponent - _E_MIN) * 2 + negative) * _DIGITS + digits - 1;
-    built on the first table, as reports need none."""
-    return np.array([_layout(e, negative, digits) for e in range(_E_MIN, _E_MAX + 1)
-                     for negative in (0, 1) for digits in range(1, _DIGITS + 1)], np.intp)
+def _layouts() -> tuple:
+    """Cell layouts by ((exponent - _E_MIN) * 2 + negative) * _DIGITS + digits - 1,
+    and the length of each cell; built on the first table, as reports need none."""
+    layouts = np.array([_layout(e, negative, digits) for e in range(_E_MIN, _E_MAX + 1)
+                        for negative in (0, 1) for digits in range(1, _DIGITS + 1)], np.intp)
+    return layouts, np.count_nonzero(layouts != _SOURCE - 1, axis=1)
 
 
 def _mul128(a, b) -> tuple:
@@ -185,8 +188,9 @@ def _scaled(m, q, exponent) -> tuple:
     return scaled, round_bit, sticky
 
 
-def _exact_cells(x: np.ndarray) -> np.ndarray:
-    """Cells of doubles with 1e-11 < |x| < 1e17, each `_SPELLING % x`."""
+def _exact_cells(x: np.ndarray) -> tuple:
+    """Cells of doubles with 1e-11 < |x| < 1e17, each `_SPELLING % x`, and the
+    length of the longest."""
     bits = x.view(np.uint64)
     m = (bits & np.uint64(2**52 - 1)) | np.uint64(2**52)
     q = (bits >> 52 & np.uint64(0x7FF)).astype(np.int64) - 1075
@@ -216,9 +220,10 @@ def _exact_cells(x: np.ndarray) -> np.ndarray:
     for i, group in enumerate(groups):
         digits = np.where(group != 0, 4 * i + 5 - _GROUP_ZEROS[group], digits)
     layout = ((exponent - _E_MIN) * 2 + (bits >> 63).astype(np.int64)) * _DIGITS + digits - 1
-    cells = _layouts()[layout]
+    layouts, lengths = _layouts()
+    cells = layouts[layout]
     cells += np.arange(0, source.size, _SOURCE)[:, None]
-    return source.ravel()[cells]
+    return source.ravel()[cells], int(lengths[layout].max())
 
 
 #: Numbers per call of `_exact_cells`, and rows per byte matrix of `_table`.
@@ -226,22 +231,26 @@ _BLOCK_ROWS = 4096
 
 
 def _spell(values, spell=_SPELLING.__mod__) -> np.ndarray:
-    """(n, _CELL) uint8 cells of float64 `values`, NUL-padded, each `_SPELLING % v`
-    byte for byte.  `spell` spells the numbers outside the exact range: zeros,
+    """(n, w) uint8 cells of float64 `values`, each `_SPELLING % v` byte for byte,
+    NUL-padded to the longest spelling w, whose length comes from the cells'
+    layouts.  `spell` spells the numbers outside the exact range: zeros,
     subnormals, |v| <= 1e-11, |v| >= 1e17 and the non-finite."""
     x = np.asarray(values, dtype=np.float64)
     magnitude = np.abs(x)
     exact = (magnitude > 1e-11) & (magnitude < 1e17)
     cells = np.zeros((len(x), _CELL), np.uint8)
+    width = 0
     index = np.flatnonzero(exact)
     for start in range(0, len(index), _BLOCK_ROWS):
         chunk = index[start:start + _BLOCK_ROWS]
-        cells[chunk] = _exact_cells(x[chunk])
+        cells[chunk], longest = _exact_cells(x[chunk])
+        width = max(width, longest)
     other = ~exact
     if other.any():
-        text = np.array([spell(v) for v in x[other].tolist()], dtype=f"S{_CELL}")
-        cells[other] = text.view(np.uint8).reshape(-1, _CELL)
-    return cells
+        texts = [spell(v) for v in x[other].tolist()]
+        cells[other] = np.array(texts, dtype=f"S{_CELL}").view(np.uint8).reshape(-1, _CELL)
+        width = max(width, max(map(len, texts)))
+    return cells[:, :width]
 
 
 def _table(columns: Dict[str, Sequence], heads: Sequence[str], tail: str, end: str,
@@ -250,8 +259,8 @@ def _table(columns: Dict[str, Sequence], heads: Sequence[str], tail: str, end: s
     the first column, heads[1], ..., then `tail`, or `end` after the last row.
 
     Each column's distinct numbers (by bit pattern: -0.0 is not 0.0) are
-    spelled once by `_spell`, cut to the column's longest cell, and gathered
-    row by row.  A block of rows is one uint8 matrix of fragments and
+    spelled once by `_spell`, as cells as wide as the column's longest, and
+    gathered row by row.  A block of rows is one uint8 matrix of fragments and
     NUL-padded cells, whose text is the matrix without its NULs.
     """
     row, cells = "", []
@@ -259,7 +268,6 @@ def _table(columns: Dict[str, Sequence], heads: Sequence[str], tail: str, end: s
         bits, index = np.unique(np.asarray(column, dtype=np.float64).view(np.int64),
                                 return_inverse=True)
         spelled = _spell(bits.view(np.float64), spell)
-        spelled = spelled[:, :np.count_nonzero(spelled.any(axis=0))]
         row += head
         cells.append((len(row), spelled, index.ravel()))
         row += "\0" * spelled.shape[1]
@@ -291,32 +299,34 @@ def _report_value(value) -> str:
     return format_float(value)
 
 
-def json_dumps(fields: Dict[str, object], table: bool = False) -> str:
-    """The writer of every JSON output, in key order.
+def json_dumps(fields: Dict[str, object], table: bool = False) -> List[str]:
+    """The writer of every JSON output, in key order: the texts of the output,
+    to be written in turn.
 
     A report maps each name to one value, spelled by `_report_value` into one
-    record template.  A table maps each name to a column of numbers (a
-    sequence or an array) and is written as an array with one record per row,
-    by `_table`; its non-finite numbers are NaN, Infinity and -Infinity.
+    record template, one text.  A table maps each name to a column of numbers
+    (a sequence or an array) and is written as an array with one record per
+    row, a text per block of rows of `_table`; its non-finite numbers are NaN,
+    Infinity and -Infinity.
     """
     if not table:
-        return _record(dict.fromkeys(fields, "%s"), "") % tuple(
-            map(_report_value, fields.values())) + "\n"
+        return [_record(dict.fromkeys(fields, "%s"), "") % tuple(
+            map(_report_value, fields.values())) + "\n"]
     *heads, tail = _record(dict.fromkeys(fields, "%s"), "  ").split("%s")
     blocks = _table(fields, heads, tail + ",\n", tail + "\n]\n", format_float)
-    return "".join(["[\n", *blocks]) if blocks else "[]\n"
+    return ["[\n", *blocks] if blocks else ["[]\n"]
 
 
-def _csv(columns: Dict[str, Sequence]) -> str:
-    """CSV table: a header of the column names, then one comma-separated line
-    per row; nan, inf and -inf are the spelling's own."""
+def _csv(columns: Dict[str, Sequence]) -> List[str]:
+    """CSV table as texts to be written in turn: a header of the column names,
+    then the blocks of comma-separated lines, one line per row; nan, inf and
+    -inf are the spelling's own."""
     heads = ["", *[","] * (len(columns) - 1)]
-    return "".join([",".join(columns) + "\n",
-                    *_table(columns, heads, "\n", "\n", _SPELLING.__mod__)])
+    return [",".join(columns) + "\n", *_table(columns, heads, "\n", "\n", _SPELLING.__mod__)]
 
 
-def _mode_table(columns: Dict[str, np.ndarray], fmt: str) -> str:
-    """Per-mode table as csv or json: one row per (k1, k2), k2 varying fastest.
+def _mode_table(columns: Dict[str, np.ndarray], fmt: str) -> List[str]:
+    """Per-mode table as csv or json texts: one row per (k1, k2), k2 varying fastest.
 
     `columns` maps column names to (kmax, kmax) arrays indexed [k1-1, k2-1];
     the k1 and k2 columns are prepended.
@@ -338,15 +348,16 @@ def _write_report(payload: Dict[str, object], path: Optional[str]) -> None:
     _write_output(json_dumps(payload), path)
 
 
-def _write_output(text: str, path: Optional[str]) -> None:
-    """Write `text` to the file `path`, or to stdout when there is none; a file
-    that cannot be written is an input error naming the output flag."""
-    if not path:
-        sys.stdout.write(text)
+def _write_output(texts: List[str], path: Optional[str]) -> None:
+    """Write the texts in turn, never joined, to the file `path`, or to stdout
+    when there is none; a file that cannot be written is an input error naming
+    the output flag."""
+    if path is None:
+        sys.stdout.writelines(texts)
         return
     try:
         with open(path, "w", newline="") as handle:
-            handle.write(text)
+            handle.writelines(texts)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ValidationError("output", f"cannot write {path}: {getattr(exc, 'strerror', exc)}")
 
@@ -678,6 +689,8 @@ class _Values:
             raise ValidationError(name, f"must be <= {flag.maximum}, got {value}")
         if flag.above is not None and value <= flag.above:
             raise ValidationError(name, f"must be > {flag.above}, got {value}")
+        if flag.type is str and not value:
+            raise ValidationError(name, "must not be empty")
         if flag.choices and value not in flag.choices:
             raise ValidationError(name, f"must be one of {sorted(flag.choices)}, got {value!r}")
         return value
@@ -888,7 +901,7 @@ def parse_and_dispatch(argv) -> int:
         return 2
 
     try:
-        values = _Values(args, load_config(args.config) if args.config else {})
+        values = _Values(args, load_config(args.config) if args.config is not None else {})
         _COMMANDS[args.subcommand][0](values, values.get("output"))
         return 0
     except CertificationFailure as exc:

@@ -72,7 +72,7 @@ class DegenerateExponents(InputError):
 
 
 class RealityViolation(CertificationFailure):
-    """Recovered coefficients are not conjugate-consistent with a real solution."""
+    """Recovered coefficients do not reproduce the initial data of a real mode."""
 
 
 class NoUsableModes(InputError):

@@ -173,6 +173,14 @@ def _check_horizon(T: float, **derived: float) -> None:
             raise OutOfRange(f"{name}={value} is not finite at T={T}")
 
 
+def _check_family_overflow(name: str, value: float, what: str, T: float) -> None:
+    """Reject a non-finite `value` of a family's `what` at a valid horizon T: it
+    overflows with the family's numbers (OutOfRange naming `name`)."""
+    if not math.isfinite(value):
+        raise OutOfRange(f"{name}={value} is not finite: the {what} overflows "
+                         f"with this family's numbers at T={T}")
+
+
 def sine_window(t, T: float):
     """Half-sine window sin(pi*t/T) on [0, T], zero elsewhere; values in [0, 1]."""
     _check_horizon(T)
@@ -501,14 +509,14 @@ def _energy_budget(p, r, z, R, T: float) -> float:
 def energy_integral(family: ExponentFamily, T: float) -> float:
     """Exact integral_0^T |F(t)|^2 dt for the family's signal F: one set of
     exponents carrying one signal in _real_signal_energies.  An energy that
-    overflows float64 is rejected with OutOfRange naming lhs and T."""
+    overflows float64 is rejected with OutOfRange naming lhs."""
     if len(family) == 0:
         raise InputError("family must be nonempty")
     _check_horizon(T)
     with np.errstate(over="ignore", invalid="ignore"):
         [[energy]] = _real_signal_energies(family.omegas[None], family.rs[None],
                                            family.Cs[None, :, None], family.Rs[None, :, None], T)
-    _check_horizon(T, lhs=energy)
+    _check_family_overflow("lhs", energy, "energy", T)
     return float(energy)
 
 
@@ -597,7 +605,8 @@ def energy_lower_bound(family: ExponentFamily, T: float, check: bool = True) -> 
     With check=True (default) the family hypotheses are verified first
     (HypothesisError listing every violation) and the inequality
     lhs >= rhs - 1e-9*(1 + |rhs|) is certified (AuditFailure otherwise).
-    A horizon that makes rhs or lhs non-finite is rejected with OutOfRange.
+    A bound or energy that overflows float64 with the family's numbers is
+    rejected with OutOfRange naming rhs or lhs.
     """
     _check_horizon(T)
     if check:
@@ -618,7 +627,7 @@ def energy_lower_bound(family: ExponentFamily, T: float, check: bool = True) -> 
         )
         sub = float(8.0 * PI / (T * gamma * gamma)) * (1.0 + S / 2.0) * float(np.sum(weights))
     rhs = main - sub
-    _check_horizon(T, rhs=rhs)
+    _check_family_overflow("rhs", rhs, "bound", T)
     lhs = energy_integral(family, T)
     report = InghamBoundReport(lhs=lhs, rhs=rhs, S=S, margin=lhs - rhs)
     if check:

@@ -11,9 +11,12 @@ amplitude x(t):
     x(0) = a,   x'(0) = b,   x''(0) = -lam * a,
 
 the last one forced by the mode equation at t = 0 (the memory integral
-vanishes there).  This is a 3x3 Vandermonde-type solve in the exponents
-{i*omega, -i*conj(omega), r}; the solution is conjugate-symmetric, so C is the
-coefficient of e^{i omega t} and R is real.
+vanishes there).  These pin the three coefficients of a 3x3 Vandermonde system
+in the exponents {i*omega, -i*conj(omega), r}, whose inverse has a closed form
+(Lagrange interpolation; Bjorck and Pereyra, Math. Comp. 24, 1970).  The
+exponent pair is conjugate and r is real, so the solution is
+conjugate-symmetric: C is the coefficient of e^{i omega t}, and R is real and
+computed in real arithmetic.
 
 Initial data enters as sine coefficients, extracted exactly from uniform-grid
 samples by a type-I discrete sine transform.
@@ -155,16 +158,24 @@ def _dst1(x: np.ndarray) -> np.ndarray:
     return -np.fft.rfft(ext)[..., 1:m + 1].imag
 
 
-def _solve_coefficients(z1, z2, z3, a, b, lam):
-    """Core of the coefficient solves: one 3x3 system per mode, batched.
+def _solve_coefficients(z1, r, a, b, lam):
+    """Core of the coefficient solves: the closed-form inverse of the 3x3
+    Vandermonde system in the exponents z1 = i*omega, z2 = conj(z1) and real r,
+    batched.  x(t) = C e^{z1 t} + conj(C) e^{z2 t} + R e^{r t} meets
+    x(0) = a, x'(0) = b, x''(0) = -lam*a when
 
-    The exponents z = {i*omega, -i*conj(omega), r}, data (a, b) and lam share
-    one shape, a (kmax, kmax) grid or a scalar; (C, R) come back in it.
-    Rejects exponent collisions (DegenerateExponents) and non-conjugate
-    solutions (RealityViolation).
+        C = (-lam*a - (z2 + r) b + z2 r a) / ((z1 - z2)(z1 - r)),
+        R = ((|z1|^2 - lam) a - 2 Re(z1) b) / |z1 - r|^2.
+
+    z1, r, a, b and lam share one shape, a (kmax, kmax) grid or a scalar;
+    (C, R) come back in it.  Exponents closer than _DEGENERATE_TOL, by the
+    denominators' factors |z1 - z2| = 2|Im z1| and |z1 - r| = |z2 - r|, are
+    rejected (DegenerateExponents).  So is a solution that does not reproduce
+    the data (RealityViolation): the backward residuals of x(0), x'(0) and
+    x''(0) must lie within 1e-10 max(1, |a|, |b|) times 1, sqrt(lam) and lam.
     """
     shape = np.shape(a)
-    z1, z2, z3, a, b, lam = (np.reshape(x, -1) for x in (z1, z2, z3, a, b, lam))
+    z1, r, a, b, lam = (np.reshape(x, -1) for x in (z1, r, a, b, lam))
 
     def at_mode(flat: int) -> str:
         if not shape:
@@ -172,33 +183,34 @@ def _solve_coefficients(z1, z2, z3, a, b, lam):
         k1, k2 = np.unravel_index(flat, shape)
         return f" at mode ({k1 + 1}, {k2 + 1})"
 
-    min_gap = np.minimum(
-        np.abs(z1 - z2), np.minimum(np.abs(z1 - z3), np.abs(z2 - z3))
-    )
+    x, y = z1.real, z1.imag
+    dx = x - r
+    square_gap = dx * dx + y * y  # |z1 - r|^2
+    min_gap = np.minimum(2.0 * np.abs(y), np.sqrt(square_gap))
     if np.any(min_gap <= _DEGENERATE_TOL):
         worst = int(np.argmin(min_gap))
         raise DegenerateExponents(
             f"exponents too close{at_mode(worst)}: min gap {min_gap[worst]}"
         )
 
-    matrices = np.empty((len(a), 3, 3), dtype=complex)
-    matrices[:, 0, :] = 1.0
-    matrices[:, 1, 0], matrices[:, 1, 1], matrices[:, 1, 2] = z1, z2, z3
-    matrices[:, 2, 0], matrices[:, 2, 1], matrices[:, 2, 2] = z1 * z1, z2 * z2, z3 * z3
-    rhs = np.stack([a, b, -lam * a], axis=1).astype(complex)
-    coeffs = np.linalg.solve(matrices, rhs[:, :, None])[:, :, 0]
+    z2 = z1.conj()
+    C = ((z2 * r - lam) * a - (z2 + r) * b) / (2j * y * (z1 - r))
+    R = ((x * x + y * y - lam) * a - 2.0 * x * b) / square_gap
 
+    # the largest backward residual of x(0), x'(0)/sqrt(lam) and x''(0)/lam
+    Cz1 = C * z1
+    residual = np.maximum(np.maximum(
+        np.abs(2.0 * C.real + R - a),
+        np.abs(2.0 * Cz1.real + R * r - b) / np.sqrt(lam)),
+        np.abs(2.0 * (Cz1 * z1).real + R * r * r + lam * a) / lam)
     tol = 1e-10 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-    conj_defect = np.abs(coeffs[:, 1] - coeffs[:, 0].conj())
-    imag_defect = np.abs(coeffs[:, 2].imag)
-    bad = (conj_defect > tol) | (imag_defect > tol)
-    if np.any(bad):
-        worst = int(np.argmax(np.maximum(conj_defect, imag_defect) / tol))
+    if np.any(residual > tol):
+        worst = int(np.argmax(residual / tol))
         raise RealityViolation(
-            f"solution not conjugate-consistent{at_mode(worst)}: "
-            f"conjugacy defect {conj_defect[worst]}, imaginary defect {imag_defect[worst]}"
+            f"solution does not reproduce the initial data{at_mode(worst)}: "
+            f"scaled residual {residual[worst]} > {tol[worst]}"
         )
-    return coeffs[:, 0].reshape(shape), coeffs[:, 2].real.reshape(shape)
+    return C.reshape(shape), R.real.reshape(shape)
 
 
 def solve_mode_coefficients(
@@ -206,21 +218,21 @@ def solve_mode_coefficients(
 ) -> ModeCoefficients:
     """Recover (C, R) of one mode from x(0) = a, x'(0) = b, x''(0) = -lam*a:
     a scalar view of `_solve_coefficients`, the core of `expand`."""
-    C, R = _solve_coefficients(*triple.roots(), a, b, lam)
+    z1, _, r = triple.roots()
+    C, R = _solve_coefficients(z1, r.real, a, b, lam)
     return ModeCoefficients(C=complex(C), R=float(R))
 
 
 def expand(params: KernelParams, data: InitialData, kmax: Optional[int] = None) -> ModeExpansion:
     """Recover coefficients of every mode k1, k2 <= kmax: `mode_spectrum`, then
-    the batched 3x3 solves of `_solve_coefficients` (also behind
+    the closed-form solves of `_solve_coefficients` (also behind
     `solve_mode_coefficients`)."""
     if kmax is None:
         kmax = data.kmax
     if kmax < 1 or kmax > data.kmax:
         raise InputError(f"kmax must lie in [1, {data.kmax}], got {kmax}")
     lam, omega, r = mode_spectrum(params, kmax)
-    C, R = _solve_coefficients(1j * omega, -1j * omega.conj(), r.astype(complex),
-                               data.a[:kmax, :kmax], data.b[:kmax, :kmax], lam)
+    C, R = _solve_coefficients(1j * omega, r, data.a[:kmax, :kmax], data.b[:kmax, :kmax], lam)
     return ModeExpansion(params=params, kmax=kmax, lam=lam, omega=omega, r=r, C=C, R=R)
 
 

@@ -9,6 +9,7 @@ and family generation enforces the exponential-sum hypotheses by construction.
 import json
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
@@ -122,6 +123,44 @@ def lagrange_coefficients(params, lam, a, b):
         return (x2 - (zk + zl) * x1 + zk * zl * x0) / ((zj - zk) * (zj - zl))
 
     return c(0), c(2).real
+
+
+def lu_coefficients(z1, r, a, b, lam):
+    """Oracle of the closed-form coefficient solve: one complex 3x3 Vandermonde
+    system per mode in the exponents (z1, conj(z1), r), with right side
+    (a, b, -lam*a), by a batched LU solve (`np.linalg.solve`).  Arrays of one
+    shape in, (C, R) = (c_1, Re c_3) of that shape out."""
+    shape = np.shape(a)
+    z1, r, a, b, lam = (np.reshape(x, -1) for x in (z1, r, a, b, lam))
+    z = np.stack([z1, z1.conj(), r.astype(complex)], axis=1)
+    matrices = np.stack([np.ones_like(z), z, z * z], axis=1)
+    rhs = np.stack([a, b, -lam * a], axis=1).astype(complex)
+    coeffs = np.linalg.solve(matrices, rhs[:, :, None])[:, :, 0]
+    return coeffs[:, 0].reshape(shape), coeffs[:, 2].real.reshape(shape)
+
+
+def exact_coefficients(z1, r, a, b, lam):
+    """(C, R) of one mode to 50 digits: the same Vandermonde system as
+    `lu_coefficients`, its float entries taken exactly, solved in mpmath."""
+    with mpmath.workdps(50):
+        z = [mpmath.mpc(z1.real, z1.imag), mpmath.mpc(z1.real, -z1.imag), mpmath.mpf(r)]
+        a = mpmath.mpf(a)
+        matrix = mpmath.matrix([[1, 1, 1], z, [x * x for x in z]])
+        c = mpmath.lu_solve(matrix, mpmath.matrix([a, mpmath.mpf(b), -mpmath.mpf(lam) * a]))
+        return c[0], c[2].real
+
+
+def coefficient_errors(C, R, z1, r, a, b, lam):
+    """Largest |C - C*| / |C*| and |R - R*| / max(|a|, |b|) over modes, with
+    (C*, R*) from `exact_coefficients`."""
+    worst_c = worst_r = 0.0
+    for args in zip(*(np.ravel(x).tolist() for x in (C, R, z1, r, a, b, lam))):
+        c, rr, z, root, a_k, b_k, lam_k = args
+        exact_c, exact_r = exact_coefficients(z, root, a_k, b_k, lam_k)
+        with mpmath.workdps(50):
+            worst_c = max(worst_c, float(abs(mpmath.mpc(c) - exact_c) / abs(exact_c)))
+            worst_r = max(worst_r, float(abs(mpmath.mpf(rr) - exact_r) / max(abs(a_k), abs(b_k))))
+    return worst_c, worst_r
 
 
 def brute_force_gap_ratios(re):

@@ -136,10 +136,10 @@ class TestTableWriter:
                    "z": [pool[row[3] % len(pool)] for row in rows]}
         if as_arrays:
             columns = {name: np.asarray(column) for name, column in columns.items()}
-        text = cli.json_dumps(columns, table=True)
+        text = "".join(cli.json_dumps(columns, table=True))
         assert text == reference_json_dumps(
             [dict(zip(columns, row)) for row in zip(*columns.values())]) + "\n"
-        csv = cli._csv(columns)
+        csv = "".join(cli._csv(columns))
         assert csv == reference_csv_table(",".join(columns), zip(*columns.values()))
         # JSON numbers are read as floats: "-0" is negative zero, not the int 0
         records = json.loads(text, parse_int=float)
@@ -182,15 +182,19 @@ class TestTableWriter:
 
 
 def spelling_cells(texts):
-    """The NUL-padded cells `_spell` must return for these texts."""
-    return np.array(list(texts), dtype=f"S{cli._CELL}").view(np.uint8).reshape(-1, cli._CELL)
+    """The cells `_spell` must return for these texts: NUL-padded to the longest."""
+    texts = list(texts)
+    width = max(map(len, texts))
+    return np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
 
 
 def assert_spelled(values):
-    """`_spell` equals `_SPELLING % v` (CSV) and `format_float` (JSON) byte for byte."""
+    """`_spell` equals `_SPELLING % v` (CSV) and `format_float` (JSON) byte for byte,
+    each cell padded to the longest."""
     values = np.asarray(values, dtype=np.float64)
     for spell in (cli._SPELLING.__mod__, format_float):
         got, want = cli._spell(values, spell), spelling_cells(map(spell, values.tolist()))
+        assert got.shape == want.shape
         bad = np.flatnonzero((got != want).any(axis=1))
         assert not bad.size, [(values[i], bytes(got[i]), bytes(want[i])) for i in bad[:5]]
 
@@ -564,20 +568,24 @@ class TestInghamCheckCommand:
         assert err == (f"assertion failure: energy lower bound failed: lhs=0.0 < "
                        f"rhs={report['rhs']!r} [datum: (0.0, {report['rhs']!r})]\n")
 
-    @pytest.mark.parametrize("field,value,message", [
-        ("r", [100.0, -0.2], "lhs=nan is not finite at T=10.0"),
-        ("omega_im", [-100.0, 0.1], "rhs=-inf is not finite at T=10.0"),
-        ("C_re", [1e200, 0.25], "rhs=nan is not finite at T=10.0"),
-    ])
-    def test_overflow_is_one_line_exit_2(self, tmp_path, capsys, recwarn, field, value, message):
-        # finite family data whose energy or bound overflows float64 at T = 10
+    @pytest.mark.parametrize("field,value,horizon,message", [
+        ("r", [100.0, -0.2], "10", "lhs=nan is not finite: the energy overflows"),
+        ("omega_im", [-100.0, 0.1], "10", "rhs=-inf is not finite: the bound overflows"),
+        ("C_re", [1e200, 0.25], "10", "rhs=nan is not finite: the bound overflows"),
+        ("gamma", 1e-200, "4", "rhs=-inf is not finite: the bound overflows"),
+    ], ids=["lhs-r", "rhs-omega_im", "rhs-C_re", "rhs-gamma"])
+    def test_overflow_is_one_line_exit_2(self, tmp_path, capsys, recwarn, field, value, horizon,
+                                         message):
+        # finite family data whose energy or bound overflows float64 at a valid
+        # horizon: the message blames the family's numbers, not T
         family = json.loads((Path(__file__).resolve().parent / "golden" / "family.json").read_text())
         family[field] = value
         path = tmp_path / "family.json"
         path.write_text(json.dumps(family))
-        status, out, err = run(["ingham-check", "--family", str(path), "--T", "10"], capsys)
+        status, out, err = run(["ingham-check", "--family", str(path), "--T", horizon], capsys)
         assert status == 2 and out == ""
-        assert err == f"error: {message}\n"
+        assert err == (f"error: {message} with this family's numbers "
+                       f"at T={float(horizon)}\n")
         assert len(recwarn) == 0
 
 
@@ -1051,6 +1059,20 @@ class TestFileBoundary:
         status, out, err = run(self.THRESHOLDS + ["--output", path], capsys)
         assert (status, out) == (2, "")
         assert err == f"error: output: cannot write {path}: {reason}\n"
+
+    def test_empty_output_exits_2(self, tmp_path, capsys):
+        # an empty path is bad input, not stdout: from the flag or from a config
+        conf = tmp_path / "empty.conf"
+        conf.write_text("output =\n")
+        for extra in (["--output", ""], ["--config", str(conf)]):
+            status, out, err = run(["thresholds", "--mu", "1", "--beta-steps", "1", *extra],
+                                   capsys)
+            assert (status, out, err) == (2, "", "error: output: must not be empty\n")
+
+    def test_empty_config_path_exits_2(self, capsys):
+        status, out, err = run(self.THRESHOLDS + ["--config", ""], capsys)
+        assert (status, out) == (2, "")
+        assert err == "error: config: cannot read : No such file or directory\n"
 
     @pytest.mark.parametrize("key", ["output", "family"])
     def test_nul_byte_path_from_config_exits_2(self, key, tmp_path, capsys):

@@ -15,9 +15,12 @@ import math
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 
 import memwave.cli as cli
+from conftest import coefficient_errors
+from memwave import sine_coefficients
 from memwave.cli import parse_and_dispatch
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -105,6 +108,24 @@ def test_ingham_check_energy_within_half_an_ulp(name):
     exact = _exact_energy(family, float(args[args.index("--T") + 1]))
     with mpmath.workdps(50):
         assert abs(mpmath.mpf(lhs) - exact) <= mpmath.mpf(math.ulp(lhs)) / 2
+
+
+def test_modes_golden_matches_50_digit_solve():
+    # each mode's C within 1e-15 of itself, and the small, cancelling R within
+    # 1e-15 of the data max(|a|, |b|), of the 50-digit solve of the same
+    # system: the golden's roots and the grids' sine coefficients taken exactly
+    args = CASES["modes"]
+    kmax = int(args[args.index("--kmax") + 1])
+    a, b = (sine_coefficients(np.loadtxt(GOLDEN / f"{name}.csv", delimiter=",", ndmin=2), kmax)
+            for name in ("u0", "u1"))
+    records = json.loads((GOLDEN / "modes.out").read_text())
+    column = {key: np.array([rec[key] for rec in records]).reshape(kmax, kmax)
+              for key in records[0]}
+    k1, k2 = column["k1"], column["k2"]
+    z1 = 1j * (column["re_omega"] + 1j * column["im_omega"])
+    c_error, r_error = coefficient_errors(column["C_re"] + 1j * column["C_im"], column["R"],
+                                          z1, column["r"], a, b, k1 * k1 + k2 * k2)
+    assert c_error <= 1e-15 and r_error <= 1e-15
 
 
 if __name__ == "__main__":

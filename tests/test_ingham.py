@@ -301,7 +301,8 @@ class TestHorizonGuard:
     def test_gamma_whose_square_underflows_is_out_of_range(self):
         # T*gamma^2 underflows to 0: the bound's right side is infinite
         family = single_frequency_family(3.0, 0.5, gamma=1e-200)
-        with pytest.raises(OutOfRange, match=r"^rhs=-inf is not finite at T=4.0$"):
+        with pytest.raises(OutOfRange, match=r"^rhs=-inf is not finite: the bound overflows "
+                                             r"with this family's numbers at T=4.0$"):
             energy_lower_bound(family, 4.0, check=False)
 
     @pytest.mark.parametrize("name", ["omegas", "rs", "Cs", "Rs"])

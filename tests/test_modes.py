@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from scipy.fft import dstn
 
-from conftest import lagrange_coefficients, mode_ode_oracle, sine_polynomial_on_grid
+from conftest import (
+    coefficient_errors,
+    lagrange_coefficients,
+    lu_coefficients,
+    mode_ode_oracle,
+    sine_polynomial_on_grid,
+)
 from memwave import (
     BETA_MAX,
     DegenerateExponents,
@@ -150,6 +156,59 @@ class TestExpand:
                 scale = abs(C) + abs(R)
                 assert abs(expansion.C[i, j] - C) <= 1e-10 * scale
                 assert abs(expansion.R[i, j] - R) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("kmax", [64, 192])
+    @pytest.mark.parametrize("beta", [0.0, 1e-6, 0.4, BETA_MAX])
+    def test_matches_lu_oracle(self, beta, kmax):
+        # the closed form and the batched LU solve each lie within 1e-15 of
+        # the exact solution (below), so within 2e-15 of each other
+        rng = np.random.default_rng(kmax)
+        data = InitialData(a=rng.normal(size=(kmax, kmax)),
+                           b=rng.normal(size=(kmax, kmax)), kmax=kmax)
+        e = expand(KernelParams.limiting_regime(beta), data)
+        C, R = lu_coefficients(1j * e.omega, e.r, data.a, data.b, e.lam)
+        assert np.all(np.abs(e.C - C) <= 2e-15 * np.abs(C))
+        assert np.all(np.abs(e.R - R) <= 2e-15 * np.maximum(np.abs(data.a), np.abs(data.b)))
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-6, 0.4, BETA_MAX, 0.05, 0.9])
+    def test_within_1e_15_of_50_digit_solve(self, beta):
+        # the same system, its float roots and data taken exactly, solved to 50
+        # digits: C to 1e-15 of itself, the small and cancelling R to 1e-15 of
+        # the data
+        rng = np.random.default_rng(73)
+        for kmax in (1, 3, 8):
+            data = InitialData(a=rng.normal(size=(kmax, kmax)),
+                               b=rng.normal(size=(kmax, kmax)), kmax=kmax)
+            e = expand(KernelParams.limiting_regime(beta), data)
+            c_error, r_error = coefficient_errors(e.C, e.R, 1j * e.omega, e.r,
+                                                  data.a, data.b, e.lam)
+            assert c_error <= 1e-15 and r_error <= 1e-15, kmax
+
+    def test_no_linear_algebra_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        for name in np.linalg.__all__:
+            if name != "LinAlgError":
+                monkeypatch.setattr(np.linalg, name, refuse)
+        rng = np.random.default_rng(79)
+        data = InitialData(a=rng.normal(size=(16, 16)), b=rng.normal(size=(16, 16)), kmax=16)
+        expand(KernelParams.limiting_regime(0.3), data)
+
+    def test_planted_residual_defect_names_the_mode(self):
+        # velocity data with an imaginary part at mode (2, 3): no real mode
+        # reproduces it, and the backward residual of x'(0) shows it
+        import memwave.modes as modes
+
+        rng = np.random.default_rng(83)
+        lam, omega, r = mode_spectrum(KernelParams.limiting_regime(0.2), 4)
+        a = rng.normal(size=(4, 4))
+        b = rng.normal(size=(4, 4)).astype(complex)
+        b[1, 2] += 1e-6j
+        with pytest.raises(RealityViolation, match=r"at mode \(2, 3\): scaled residual"):
+            modes._solve_coefficients(1j * omega, r, a, b, lam)
+        b[1, 2] = b[1, 2].real
+        modes._solve_coefficients(1j * omega, r, a, b, lam)
 
     def test_degenerate_exponents_name_the_mode(self, monkeypatch):
         # at mode (2, 3), omega = -i*r makes i*omega collide with r
