@@ -5,14 +5,14 @@ modes table joined against block by block; write BENCH_coefficient_solve.json.
 
 Run from the root of a checkout; the program is imported from `src/` and the
 oracle (`lu_coefficients`, one complex 3x3 LU solve per mode by
-`np.linalg.solve`) from `tests/conftest.py`.  Every time is CPU time
-(`time.process_time`, user + system of this process), REPEATS samples kept
-with their median.  The BLAS pool is held to one thread, set before numpy
-loads.
+`np.linalg.solve`) from `tests/conftest.py`.  Timing, BLAS pool and agreement
+checks are those of `scripts/harness.py`; REPEATS rounds each.
 
 - Solve.  For each kmax, `modes._solve_coefficients` and the oracle on the
-  same spectrum (beta BETA) and N(0, 1) sine coefficients (seed SEED).  Each
-  row records the largest |C - C_lu| / |C_lu| and |R - R_lu| / max(|a|, |b|).
+  same spectrum (beta BETA) and N(0, 1) sine coefficients (seed SEED).  They
+  must agree as in the test suite: |C - C_lu| <= 2e-15 |C_lu| and
+  |R - R_lu| <= 2e-15 max(|a|, |b|).  Each row records the largest
+  |C - C_lu| / |C_lu| and |R - R_lu| / max(|a|, |b|).
 - Write.  The texts of the kmax-192 modes table (`cli._mode_table`, made
   once, untimed) written to a file in a temporary directory, as the writer
   did before (joined into one string, then written) and as `cli._write_output`
@@ -21,27 +21,16 @@ loads.
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import statistics
-import sys
 import tempfile
-import time
 from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import harness  # first: the path and the BLAS pool, before numpy loads
+import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-
-import numpy as np  # noqa: E402
-
-from conftest import lu_coefficients  # noqa: E402
-from memwave import InitialData, KernelParams, expand, mode_spectrum  # noqa: E402
-from memwave.cli import _mode_table, _write_output  # noqa: E402
-from memwave.modes import _solve_coefficients  # noqa: E402
+from conftest import lu_coefficients
+from memwave import InitialData, KernelParams, expand, mode_spectrum
+from memwave.cli import _mode_table, _write_output
+from memwave.modes import _solve_coefficients
 
 KMAX = (64, 192, 384, 512)
 WRITE_KMAX = 192
@@ -50,39 +39,26 @@ SEED = 701
 REPEATS = 7
 
 
-def cpu_seconds(fn, *args):
-    """(CPU seconds of one call, its result)."""
-    start = time.process_time()
-    value = fn(*args)
-    return time.process_time() - start, value
-
-
-def measure_solve(kmax: int, repeats: int = REPEATS) -> dict:
-    """Median CPU time of the closed form and the LU oracle at one kmax, and
-    their largest disagreement."""
+def measure_solve(kmax: int) -> dict:
+    """The closed form and the LU oracle at one kmax, and their largest disagreement."""
     lam, omega, r = mode_spectrum(KernelParams.limiting_regime(BETA), kmax)
     rng = np.random.default_rng(SEED)
     a, b = rng.normal(size=(kmax, kmax)), rng.normal(size=(kmax, kmax))
     args = (1j * omega, r, a, b, lam)
-    samples = {"closed_form": [], "lu": []}
-    for _ in range(repeats):
-        seconds, (C, R) = cpu_seconds(_solve_coefficients, *args)
-        samples["closed_form"].append(seconds)
-        seconds, (C_lu, R_lu) = cpu_seconds(lu_coefficients, *args)
-        samples["lu"].append(seconds)
-    closed_form_s = statistics.median(samples["closed_form"])
-    lu_s = statistics.median(samples["lu"])
-    return {
-        "kmax": kmax,
-        "closed_form_cpu_s": closed_form_s,
-        "lu_cpu_s": lu_s,
-        "speedup": lu_s / closed_form_s,
-        "max_C_rel_diff": float(np.max(np.abs(C - C_lu) / np.abs(C_lu))),
-        "max_R_diff_over_data": float(np.max(np.abs(R - R_lu)
-                                             / np.maximum(np.abs(a), np.abs(b)))),
-        "closed_form_samples_s": samples["closed_form"],
-        "lu_samples_s": samples["lu"],
-    }
+    data = np.maximum(np.abs(a), np.abs(b))
+
+    def agree(closed_form, lu) -> bool:
+        (C, R), (C_lu, R_lu) = closed_form, lu
+        return bool(np.all(np.abs(C - C_lu) <= 2e-15 * np.abs(C_lu))
+                    and np.all(np.abs(R - R_lu) <= 2e-15 * data))
+
+    record, values = harness.paired(
+        {"closed_form": harness.timed(_solve_coefficients, *args),
+         "lu": harness.timed(lu_coefficients, *args)}, REPEATS, agree, f"solve at kmax {kmax}")
+    (C, R), (C_lu, R_lu) = values["closed_form"], values["lu"]
+    return {"kmax": kmax,
+            "max_C_rel_diff": float(np.max(np.abs(C - C_lu) / np.abs(C_lu))),
+            "max_R_diff_over_data": float(np.max(np.abs(R - R_lu) / data)), **record}
 
 
 def write_joined(texts: list, path: Path) -> None:
@@ -91,31 +67,25 @@ def write_joined(texts: list, path: Path) -> None:
         handle.write("".join(texts))
 
 
-def measure_write(repeats: int = REPEATS) -> dict:
-    """Median CPU time of writing the modes table joined and block by block."""
+def measure_write() -> dict:
+    """Writing the modes table joined and block by block."""
     rng = np.random.default_rng(SEED)
     data = InitialData(a=rng.normal(size=(WRITE_KMAX, WRITE_KMAX)),
                        b=rng.normal(size=(WRITE_KMAX, WRITE_KMAX)), kmax=WRITE_KMAX)
     e = expand(KernelParams.limiting_regime(BETA), data)
     texts = _mode_table({"C_re": e.C.real, "C_im": e.C.imag, "R": e.R, "re_omega": e.omega.real,
                          "im_omega": e.omega.imag, "r": e.r}, "json")
-    samples = {"joined": [], "blocks": []}
     with tempfile.TemporaryDirectory() as tmp:
         joined, blocks = Path(tmp) / "joined.json", Path(tmp) / "blocks.json"
-        for _ in range(repeats):
-            samples["joined"].append(cpu_seconds(write_joined, texts, joined)[0])
-            samples["blocks"].append(cpu_seconds(_write_output, texts, str(blocks))[0])
-        if joined.read_bytes() != blocks.read_bytes():
-            raise SystemExit("the joined and the block-by-block files differ")
+        record, _ = harness.paired(
+            {"blocks": harness.timed(_write_output, texts, str(blocks)),
+             "joined": harness.timed(write_joined, texts, joined)}, REPEATS,
+            lambda *_: joined.read_bytes() == blocks.read_bytes(), "the modes table files")
         size = blocks.stat().st_size
-    joined_s = statistics.median(samples["joined"])
-    blocks_s = statistics.median(samples["blocks"])
-    return {"kmax": WRITE_KMAX, "bytes": size, "texts": len(texts),
-            "joined_cpu_s": joined_s, "blocks_cpu_s": blocks_s,
-            "joined_samples_s": samples["joined"], "blocks_samples_s": samples["blocks"]}
+    return {"kmax": WRITE_KMAX, "bytes": size, "texts": len(texts), **record}
 
 
-def main() -> int:
+def main() -> None:
     rows = []
     for kmax in KMAX:
         rows.append(measure_solve(kmax))
@@ -128,21 +98,15 @@ def main() -> int:
     print(f"modes kmax {WRITE_KMAX} table, {write['bytes'] / 1e6:.1f} MB in {write['texts']} "
           f"texts: joined {write['joined_cpu_s'] * 1e3:.1f} ms, block by block "
           f"{write['blocks_cpu_s'] * 1e3:.1f} ms", flush=True)
-    report = {
+    harness.write_bench("coefficient_solve", {
         "what": "CPU seconds of memwave.modes._solve_coefficients against "
-                "tests/conftest.py::lu_coefficients, and of writing the modes table joined "
-                f"into one string against block by block; medians of {REPEATS}",
+                "tests/conftest.py::lu_coefficients, and of writing the modes table block by "
+                f"block against joined into one string; medians of {REPEATS} paired rounds",
         "inputs": f"beta {BETA}, a, b ~ N(0, 1) sine coefficients, seed {SEED}",
-        "host": {"machine": platform.machine(), "cpus": len(os.sched_getaffinity(0)),
-                 "python": platform.python_version(), "numpy": np.__version__},
         "solve": rows,
         "write": write,
-    }
-    out = ROOT / "BENCH_coefficient_solve.json"
-    out.write_text(json.dumps(report, indent=1) + "\n")
-    print(f"wrote {out}")
-    return 0
+    })
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

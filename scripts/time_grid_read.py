@@ -10,10 +10,8 @@ Three measurements:
   1025^2 numbers, sine coefficients N(0, 1)/(k1^2 + k2^2), seed 901), written
   with `%.17g` as the benchmark writes them.  One stage is timed alone: a CSV
   file in, a float64 matrix out, as `cli._read_grid` of the file's bytes and
-  as `np.loadtxt(path, delimiter=",", ndmin=2)`, in CPU time
-  (`time.process_time`).  The two run in pairs, in alternating order; the
-  medians of each and of the per-pair ratios are recorded with every sample,
-  and the two matrices must be equal bit for bit.
+  as `np.loadtxt(path, delimiter=",", ndmin=2)`, in paired rounds; the two
+  matrices must be equal bit for bit in every round.
 - Block sizes.  The benchmark's ops, `observe --kmax 64` and `modes --kmax
   192` on three inputs each, run in fresh interpreters as the benchmark runs
   them, with `np.loadtxt` and with the reader at each of BLOCKS bytes, the
@@ -22,31 +20,26 @@ Three measurements:
   grids and their sine coefficients) and the median CPU time of the whole
   op.  Inside such an op, unlike alone, large blocks can page-fault their
   temporaries afresh; this chose `cli._GRID_BLOCK`.
-- Peak memory.  VmHWM from /proc/self/status of a fresh interpreter that runs
-  one `modes --kmax 192` op on the 385^2 grids, with the reader and with
-  `np.loadtxt` for every grid, median of HWM_SAMPLES each.  The benchmark's
-  peak_rss_mb is `ru_maxrss`, which on Linux keeps the spawning process's
-  high-water mark across exec, so it cannot show this.
+- Peak memory.  VmHWM of a fresh interpreter that runs one `modes --kmax
+  192` op on the 385^2 grids, with the reader and with `np.loadtxt` for every
+  grid, median of HWM_SAMPLES each.  The benchmark's peak_rss_mb is
+  `ru_maxrss`, which on Linux keeps the spawning process's high-water mark
+  across exec, so it cannot show this.
+
+Timing, BLAS pool, children and grids are those of `scripts/harness.py`.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import platform
 import statistics
-import subprocess
-import sys
 import tempfile
-import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src")]
+import harness  # first: the path and the BLAS pool, before numpy loads
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-import memwave.cli as cli  # noqa: E402
+import memwave.cli as cli
 
 KMAX = (64, 192, 512)
 PAIRS = {64: 41, 192: 21, 512: 7}
@@ -58,18 +51,6 @@ OP_CHILDREN = 3
 SEED = 901
 HWM_KMAX = 192
 HWM_SAMPLES = 5
-
-#: One modes op (argv[2:] are its flags; argv[1] == "loadtxt" turns the reader
-#: off), then the child's peak RSS in kB.
-HWM_CHILD = """
-import sys
-import memwave.cli as cli
-if sys.argv[1] == "loadtxt":
-    cli._read_grid = lambda data: None
-cli.parse_and_dispatch(sys.argv[2:])
-print(next(l for l in open('/proc/self/status') if l.startswith('VmHWM')).split()[1])
-"""
-
 
 #: One warm-up op per input, then rounds of ops (argv[3] is their JSON list of
 #: argv lists) with the reader off (argv[1] == "loadtxt") or at a block of
@@ -102,61 +83,26 @@ print(json.dumps(samples))
 """
 
 
-def write_grid(kmax: int, path: Path, rng) -> None:
-    """Samples of band-limited sine coefficients on the (2 kmax + 1)^2 grid, as `%.17g`."""
+def write_random_grid(kmax: int, path: Path, rng) -> None:
+    """A grid of band-limited sine coefficients N(0, 1)/(k1^2 + k2^2)."""
     k = np.arange(1, kmax + 1, dtype=float)
     coeffs = rng.standard_normal((kmax, kmax)) / (k[:, None] ** 2 + k[None, :] ** 2)
-    m = 2 * kmax + 1
-    sines = np.sin(np.outer(k, np.pi / (m + 1) * np.arange(1, m + 1)))
-    np.savetxt(path, sines.T @ coeffs @ sines, delimiter=",", fmt="%.17g")
-
-
-def read_with_reader(path: Path) -> np.ndarray:
-    return cli._read_grid(path.read_bytes())
-
-
-def read_with_loadtxt(path: Path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)
-
-
-def cpu_seconds(fn, *args):
-    """(CPU seconds of one call, its result)."""
-    start = time.process_time()
-    value = fn(*args)
-    return time.process_time() - start, value
-
-
-def paired(path: Path, pairs: int) -> dict:
-    """Reader and loadtxt on one file, `pairs` times in alternating order."""
-    samples = {"reader": [], "loadtxt": []}
-    for i in range(pairs):
-        order = ("reader", "loadtxt") if i % 2 == 0 else ("loadtxt", "reader")
-        for name in order:
-            seconds, grid = cpu_seconds(read_with_reader if name == "reader" else read_with_loadtxt,
-                                        path)
-            samples[name].append(seconds)
-            if name == "reader" and grid is None:
-                raise SystemExit(f"{path}: the reader fell back")
-    ratios = [b / a for a, b in zip(samples["reader"], samples["loadtxt"])]
-    return {"reader_cpu_s": statistics.median(samples["reader"]),
-            "loadtxt_cpu_s": statistics.median(samples["loadtxt"]),
-            "speedup": statistics.median(ratios),
-            "reader_faster_in": sum(r > 1.0 for r in ratios),
-            "pairs": pairs,
-            "reader_samples_s": samples["reader"], "loadtxt_samples_s": samples["loadtxt"]}
+    harness.write_grid(path, coeffs)
 
 
 def measure_grids(paths: dict) -> list:
     rows = []
     for kmax, path in paths.items():
-        if read_with_reader(path).tobytes() != read_with_loadtxt(path).tobytes():
-            raise SystemExit(f"kmax {kmax}: the reader and loadtxt disagree")
+        record, _ = harness.paired(
+            {"reader": harness.timed(lambda: cli._read_grid(path.read_bytes())),
+             "loadtxt": harness.timed(lambda: np.loadtxt(path, delimiter=",", ndmin=2))},
+            PAIRS[kmax], harness.bits_equal, f"grid at kmax {kmax}")
         row = {"kmax": kmax, "numbers": (2 * kmax + 1) ** 2, "bytes": path.stat().st_size,
-               "block": cli._GRID_BLOCK, **paired(path, PAIRS[kmax])}
+               "block": cli._GRID_BLOCK, **record}
         rows.append(row)
         print(f"kmax {kmax}: reader {row['reader_cpu_s'] * 1e3:.1f} ms, loadtxt "
               f"{row['loadtxt_cpu_s'] * 1e3:.1f} ms, {row['speedup']:.2f}x "
-              f"(faster in {row['reader_faster_in']}/{row['pairs']})", flush=True)
+              f"(faster in {row['reader_faster_in']}/{row['rounds']})", flush=True)
     return rows
 
 
@@ -166,19 +112,13 @@ def write_ops(directory: Path, rng) -> dict:
     for name, kmax in (("observe", 64), ("modes", 192)):
         for index in range(3):
             u0, u1 = directory / f"{name}{index}-u0.csv", directory / f"{name}{index}-u1.csv"
-            write_grid(kmax, u0, rng)
-            write_grid(kmax, u1, rng)
+            write_random_grid(kmax, u0, rng)
+            write_random_grid(kmax, u1, rng)
             flags = (["--T", "50.0", "--mu", "1.0", "--beta", repr(rng.uniform(0.005, 0.02))]
                      if name == "observe" else ["--beta", repr(rng.uniform(0.05, 1.1))])
             ops[name].append([name, "--kmax", str(kmax), *flags, "--u0", str(u0), "--u1", str(u1),
                               "--output", str(directory / "op.out")])
     return ops
-
-
-def child_env() -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return env
 
 
 def measure_blocks(ops: dict) -> list:
@@ -189,10 +129,8 @@ def measure_blocks(ops: dict) -> list:
     for _ in range(OP_CHILDREN):
         for name, argvs in ops.items():
             for setting in settings:
-                out = subprocess.run([sys.executable, "-c", OP_CHILD, str(setting),
-                                      str(OP_ROUNDS[name]), json.dumps(argvs)],
-                                     env=child_env(), check=True, stdout=subprocess.PIPE,
-                                     text=True).stdout
+                out = harness.child(OP_CHILD, str(setting), str(OP_ROUNDS[name]),
+                                    json.dumps(argvs)).stdout
                 samples[name, setting] += json.loads(out)
     rows = []
     for (name, setting), values in samples.items():
@@ -206,36 +144,34 @@ def measure_blocks(ops: dict) -> list:
 
 def measure_peak_memory(u0: Path, u1: Path, directory: Path) -> dict:
     """Median VmHWM (MB) of a fresh interpreter running one modes op, per grid reader."""
-    env = child_env()
     op = ["modes", "--beta", "0.3", "--kmax", str(HWM_KMAX), "--u0", str(u0), "--u1", str(u1),
           "--output", str(directory / "modes.json")]
-    peaks = {"reader": [], "loadtxt": []}
+    settings = {"reader": str(cli._GRID_BLOCK), "loadtxt": "loadtxt"}
+    peaks = {name: [] for name in settings}
     for _ in range(HWM_SAMPLES):
-        for name in peaks:
-            out = subprocess.run([sys.executable, "-c", HWM_CHILD, name, *op], env=env, check=True,
-                                 stdout=subprocess.PIPE, text=True).stdout
-            peaks[name].append(int(out) / 1024.0)
+        for name, setting in settings.items():  # the op once, as the warm-up of no rounds
+            peaks[name].append(harness.child(OP_CHILD, setting, "0", json.dumps([op])).vmhwm_mb)
     return {"kmax": HWM_KMAX, "reader_vmhwm_mb": statistics.median(peaks["reader"]),
             "loadtxt_vmhwm_mb": statistics.median(peaks["loadtxt"]),
             "reader_samples_mb": peaks["reader"], "loadtxt_samples_mb": peaks["loadtxt"]}
 
 
-def main() -> int:
+def main() -> None:
     rng = np.random.default_rng(SEED)
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
         paths = {}
         for kmax in KMAX:
             paths[kmax] = directory / f"grid-{kmax}.csv"
-            write_grid(kmax, paths[kmax], rng)
+            write_random_grid(kmax, paths[kmax], rng)
         u1 = directory / "u1.csv"
-        write_grid(HWM_KMAX, u1, rng)
+        write_random_grid(HWM_KMAX, u1, rng)
         memory = measure_peak_memory(paths[HWM_KMAX], u1, directory)
         print(f"modes kmax {HWM_KMAX} op: VmHWM {memory['reader_vmhwm_mb']:.1f} MB with the "
               f"reader, {memory['loadtxt_vmhwm_mb']:.1f} MB with loadtxt", flush=True)
         rows = measure_grids(paths)
         blocks = measure_blocks(write_ops(directory, rng))
-    report = {
+    harness.write_bench("grid_read", {
         "what": "CPU seconds to read a %.17g CSV grid into float64: memwave.cli._read_grid of "
                 "the file's bytes against np.loadtxt(path, delimiter=',', ndmin=2), paired in "
                 "alternating order, medians; speedup is the median of per-pair ratios.  "
@@ -244,17 +180,11 @@ def main() -> int:
                 "interleaved over the settings.  peak_memory: VmHWM of a fresh interpreter "
                 f"running one modes op, median of {HWM_SAMPLES}",
         "inputs": f"band-limited sine coefficients N(0, 1)/(k1^2 + k2^2), seed {SEED}",
-        "host": {"machine": platform.machine(), "cpus": len(os.sched_getaffinity(0)),
-                 "python": platform.python_version(), "numpy": np.__version__},
         "rows": rows,
         "blocks": blocks,
         "peak_memory": memory,
-    }
-    out = ROOT / "BENCH_grid_read.json"
-    out.write_text(json.dumps(report, indent=1) + "\n")
-    print(f"wrote {out}")
-    return 0
+    })
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

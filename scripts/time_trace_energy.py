@@ -5,52 +5,51 @@
 Run from the root of a checkout; the program is imported from `src/` and the
 oracle from `tests/conftest.py`.  For each row, one expansion (normal random
 sine coefficients, seed 601) is timed at T = 50, the horizon of the `observe`
-benchmark workload, in CPU time (`time.process_time`, user + system of every
-thread of the process, so a BLAS product that spreads over threads costs
-their sum).  The kernel runs in a fresh interpreter, as many times as its
-row says (5, or 1 at kmax 512); the median is recorded with every sample.
-The oracle runs as often, in this process.
+benchmark workload, in as many rounds as the row says (5, or 1 at kmax 512),
+with the timing and BLAS pool of `scripts/harness.py`.  In each round the
+kernel runs in a fresh interpreter, once untimed to warm up and once timed,
+and the oracle once in this process; they must agree to 1e-12 relative, as in the
+test suite.
 
 With --baseline, the kernel of that git revision (exported with `git archive`
-into a temporary directory) is timed the same way on the same inputs, for a
-before/after comparison.
-
-The BLAS pool is sized to the CPUs this process may run on, as in the
-benchmark, before numpy loads; the thread count that OpenBLAS then reports is
-recorded.  The kernel's matrix products are small enough to stay on one of
-those threads.
+into a temporary directory) is timed the same way on the same inputs, in the
+same rounds, for a before/after comparison.  The kernel's matrix products are
+small enough to stay on one BLAS thread.
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
 import io
 import json
-import os
-import platform
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
-import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-CPUS = len(os.sched_getaffinity(0))
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = str(CPUS)
+import harness  # first: the path and the BLAS pool, before numpy loads
+import numpy as np
 
-#: (kmax, beta, repeats) per row.
+#: (kmax, beta, rounds) per row.
 ROWS = ((32, 0.01, 5), (64, 0.01, 5), (128, 0.01, 5), (128, 0.0, 5), (256, 0.01, 5),
         (512, 0.01, 1))
 T, SEED = 50.0, 601
+SCRIPTS = str(Path(__file__).resolve().parent)
+
+#: One timed boundary_trace_energy of `kernel_sample`, argv[1] the directory of
+#: this script and argv[2] its arguments; prints [CPU seconds, value].
+KERNEL_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from time_trace_energy import kernel_sample
+print(json.dumps(kernel_sample(*json.loads(sys.argv[2]))))
+"""
 
 
 def expansion_for(kmax: int, beta: float):
     """The timed expansion, from whichever memwave is first on sys.path."""
-    import numpy as np
     from memwave import InitialData, KernelParams, expand
 
     rng = np.random.default_rng(SEED)
@@ -59,127 +58,83 @@ def expansion_for(kmax: int, beta: float):
     return expand(KernelParams.limiting_regime(beta), data)
 
 
-def cpu_samples(fn, args, repeats: int) -> tuple:
-    """(CPU seconds of each of `repeats` calls, the last result)."""
-    samples = []
-    for _ in range(repeats):
-        start = time.process_time()
-        value = fn(*args)
-        samples.append(time.process_time() - start)
-    return samples, value
-
-
-def worker(src: str, kmax: int, beta: float, repeats: int) -> None:
-    """Time boundary_trace_energy of the memwave in `src`; print samples and value as JSON."""
+def kernel_sample(src: str, kmax: int, beta: float) -> tuple:
+    """(CPU seconds, value) of boundary_trace_energy of the memwave in `src`."""
     sys.path.insert(0, src)
     from memwave import boundary_trace_energy
 
-    boundary_trace_energy(expansion_for(8, beta), T)  # warm up, untimed
-    samples, value = cpu_samples(boundary_trace_energy, (expansion_for(kmax, beta), T), repeats)
-    print(json.dumps({"samples": samples, "value": value}))
+    expansion = expansion_for(kmax, beta)
+    boundary_trace_energy(expansion, T)  # warm up, untimed
+    return harness.timed(boundary_trace_energy, expansion, T)()
 
 
-def time_kernel(src: Path, kmax: int, beta: float, repeats: int) -> dict:
-    """Run `worker` in a fresh interpreter on the memwave in `src`."""
-    result = subprocess.run(
-        [sys.executable, __file__, "--worker", str(src), json.dumps([kmax, beta, repeats])],
-        capture_output=True, text=True, check=True)
-    return json.loads(result.stdout)
-
-
-def blas_threads():
-    """The thread count numpy's bundled OpenBLAS reports, or None if it is not found."""
-    import numpy as np
-
-    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
-        library = ctypes.CDLL(str(path))
-        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
-            if hasattr(library, name):
-                get = getattr(library, name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                return get()
-    return None
+def kernel(src: Path, kmax: int, beta: float):
+    """A side of the sampler: one kernel sample in a fresh interpreter."""
+    args = json.dumps([str(src), kmax, beta])
+    return lambda: tuple(json.loads(harness.child(KERNEL_CHILD, SCRIPTS, args).stdout))
 
 
 def export(rev: str, into: Path) -> tuple:
     """Extract `src/` of git revision `rev` into `into`; return its commit and
     that src directory."""
-    commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", rev],
+    git = ["git", "-C", str(harness.ROOT)]
+    commit = subprocess.run([*git, "rev-parse", "--short", rev],
                             capture_output=True, text=True, check=True).stdout.strip()
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
-                             capture_output=True, check=True).stdout
+    archive = subprocess.run([*git, "archive", rev, "src"], capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(into, filter="data")
     return commit, into / "src"
 
 
-def measure(kmax: int, beta: float, repeats: int, baseline_src) -> dict:
-    """Median CPU time of the kernel, the oracle and the baseline at one row, with samples."""
+def measure(kmax: int, beta: float, rounds: int, baseline_src) -> dict:
+    """The kernel, the oracle and the baseline at one row."""
     from conftest import pairwise_trace_energy
 
-    kernel = time_kernel(ROOT / "src", kmax, beta, repeats)
-    oracle_samples, oracle = cpu_samples(pairwise_trace_energy,
-                                         (expansion_for(kmax, beta), T), repeats)
-    row = {
-        "kmax": kmax,
-        "beta": beta,
-        "cpu_s": statistics.median(kernel["samples"]),
-        "pairwise_cpu_s": statistics.median(oracle_samples),
-        "relative_difference": abs(kernel["value"] - oracle) / oracle,
-    }
-    row["speedup_vs_pairwise"] = row["pairwise_cpu_s"] / row["cpu_s"]
+    sides = {"kernel": kernel(harness.ROOT / "src", kmax, beta),
+             "pairwise": harness.timed(pairwise_trace_energy, expansion_for(kmax, beta), T)}
     if baseline_src is not None:
-        baseline = time_kernel(baseline_src, kmax, beta, repeats)
-        row["baseline_cpu_s"] = statistics.median(baseline["samples"])
-        row["speedup_vs_baseline"] = row["baseline_cpu_s"] / row["cpu_s"]
-        row["baseline_relative_difference"] = abs(baseline["value"] - oracle) / oracle
-        row["baseline_samples_s"] = baseline["samples"]
-    row["samples_s"] = kernel["samples"]
-    row["pairwise_samples_s"] = oracle_samples
+        sides["baseline"] = kernel(baseline_src, kmax, beta)
+    record, values = harness.paired(
+        sides, rounds, lambda value, oracle: abs(value - oracle) <= 1e-12 * oracle,
+        f"trace energy at kmax {kmax}, beta {beta}")
+    oracle = values["pairwise"]
+    row = {"kmax": kmax, "beta": beta,
+           "relative_difference": abs(values["kernel"] - oracle) / oracle, **record}
+    if baseline_src is not None:
+        row["speedup_vs_baseline"] = statistics.median(
+            b / a for a, b in zip(record["kernel_samples_s"], record["baseline_samples_s"]))
+        row["baseline_relative_difference"] = abs(values["baseline"] - oracle) / oracle
     return row
 
 
-def main() -> int:
+def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--baseline", metavar="REV",
                         help="also time boundary_trace_energy of this git revision")
-    parser.add_argument("--worker", nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args()
-    if args.worker:
-        worker(args.worker[0], *json.loads(args.worker[1]))
-        return 0
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-    import numpy as np
-
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         baseline, baseline_src = (export(args.baseline, Path(tmp)) if args.baseline
                                   else (None, None))
-        for kmax, beta, repeats in ROWS:
-            rows.append(measure(kmax, beta, repeats, baseline_src))
+        for kmax, beta, rounds in ROWS:
+            rows.append(measure(kmax, beta, rounds, baseline_src))
             row = rows[-1]
             against = (f", baseline {row['baseline_cpu_s']:.4f} s "
                        f"({row['speedup_vs_baseline']:.2f}x)" if baseline_src else "")
-            print(f"kmax {kmax} beta {beta}: {row['cpu_s']:.4f} s{against}, pairwise "
+            print(f"kmax {kmax} beta {beta}: {row['kernel_cpu_s']:.4f} s{against}, pairwise "
                   f"{row['pairwise_cpu_s']:.4f} s, relative difference "
                   f"{row['relative_difference']:.1e}", flush=True)
-    report = {
+    harness.write_bench("trace_energy", {
         "what": "CPU seconds of observability.boundary_trace_energy (tiled Cauchy-form "
                 "kernel), of the pairwise oracle tests/conftest.py::pairwise_trace_energy "
                 "and, when given, of the kernel of a baseline revision; medians of "
-                "the samples listed",
+                "the rounds listed; speedup is pairwise over kernel",
         "inputs": {"T": T, "seed": SEED,
                    "data": "a, b ~ N(0, 1) sine coefficients, kmax x kmax"},
         "baseline": baseline,
-        "host": {"cpus": CPUS, "blas_threads": blas_threads(), "machine": platform.machine(),
-                 "python": platform.python_version(), "numpy": np.__version__},
         "rows": rows,
-    }
-    out = ROOT / "BENCH_trace_energy.json"
-    out.write_text(json.dumps(report, indent=1) + "\n")
-    print(f"wrote {out}")
-    return 0
+    })
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

@@ -43,10 +43,10 @@ c0 non-finite, a family whose bound or energy overflows, a mu whose load
 sample-grid file with no numbers, a non-finite sample (flag, file, row and
 column named), a grid whose sine coefficients overflow, initial data whose
 observe inequality overflows, an input file that cannot be read or an --output
-that cannot be written, an empty string value (an empty --output path, say), a
-config or family file that is not UTF-8, and a family file whose top level is
-not an object, whose tau is not a finite integer or whose arrays are not flat
-lists.
+(or stdout) that cannot be written, an empty string value (an empty --output
+path or gamma_table word, say), a config or family file that is not UTF-8, and
+a family file whose top level is not an object, whose tau is not a finite
+integer or whose arrays are not flat lists.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ import codecs
 import io
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import asdict
@@ -351,15 +352,18 @@ def _write_report(payload: Dict[str, object], path: Optional[str]) -> None:
 def _write_output(texts: List[str], path: Optional[str]) -> None:
     """Write the texts in turn, never joined, to the file `path`, or to stdout
     when there is none; a file that cannot be written is an input error naming
-    the output flag."""
-    if path is None:
-        sys.stdout.writelines(texts)
-        return
+    the output flag.  So is a stdout that cannot take them (a full disk, a
+    closed pipe): it is flushed here, for the failure to show here."""
     try:
+        if path is None:
+            sys.stdout.writelines(texts)
+            sys.stdout.flush()
+            return
         with open(path, "w", newline="") as handle:
             handle.writelines(texts)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise ValidationError("output", f"cannot write {path}: {getattr(exc, 'strerror', exc)}")
+        where = "stdout" if path is None else path
+        raise ValidationError("output", f"cannot write {where}: {getattr(exc, 'strerror', exc)}")
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +595,7 @@ def _boolean(raw) -> bool:
     text = str(raw).strip().lower()
     if text in ("1", "true", "yes", "on"):
         return True
-    if text in ("0", "false", "no", "off", ""):
+    if text in ("0", "false", "no", "off"):
         return False
     raise ValueError(raw)
 
@@ -843,8 +847,8 @@ def _run_thresholds(values: _Values, output: Optional[str]) -> None:
     mu, theta, steps = values["mu"], values["theta"], values["beta_steps"]
     S = constant_S(mu, theta)
     betas = np.linspace(0.0, BETA_MAX, steps + 1).tolist()
-    beta0, t0 = _thresholds(betas, mu, S)
-    columns = {"beta": betas, "gamma": [gap_constant(b).gamma for b in betas],
+    beta0, t0, gammas = _thresholds(betas, mu, S)
+    columns = {"beta": betas, "gamma": gammas,
                "S": [S] * len(betas), "T0": t0, "beta0_global": [beta0] * len(betas)}
     _write_output(_csv(columns), output)
 
@@ -916,7 +920,15 @@ def parse_and_dispatch(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(parse_and_dispatch(sys.argv[1:]))
+    status = parse_and_dispatch(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # stdout still holds what it refused, and `_write_output` has said so;
+        # point fd 1 at the null device so that the interpreter's own flush at
+        # exit neither fails nor reports it (Python's SIGPIPE recipe)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(status)
 
 
 if __name__ == "__main__":

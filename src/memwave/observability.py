@@ -119,36 +119,37 @@ def thresholds(beta: float, mu: float, theta: float = 1.0):
     """
     if not (0.0 <= beta <= BETA_MAX + 1e-12):
         raise OutOfRange(f"beta must lie in [0, 2/sqrt(3)], got {beta}")
-    beta0, [t0] = _thresholds([beta], mu, constant_S(mu, theta))
+    beta0, [t0], _ = _thresholds([beta], mu, constant_S(mu, theta))
     return beta0, t0
 
 
 def _thresholds(betas, mu: float, S: float) -> tuple:
-    """beta0 and the list of T0 at each of `betas`, for S = constant_S(mu, theta):
-    one bisection, as beta0 depends on S alone (see `thresholds`)."""
+    """beta0, and the lists of T0 and of gamma at each of `betas`, for
+    S = constant_S(mu, theta): one bisection, as beta0 depends on S alone (see
+    `thresholds`)."""
     coeff = 4.0 * (4.0 + 3.0 * S)
 
-    def height(b: float) -> float:
-        return gap_constant(b).gamma ** 2 - coeff * b * b
+    def height(b: float, gamma: float) -> float:
+        return gamma ** 2 - coeff * b * b
 
     # height(2/sqrt(3)) <= (sqrt(2) - 1)^2 - 16*4/3 < 0, so (0, 2/sqrt(3)] brackets the root
     lo, hi = 0.0, BETA_MAX
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
-        if height(mid) > 0.0:
+        if height(mid, gap_constant(mid).gamma) > 0.0:
             lo = mid
         else:
             hi = mid
-    t0 = []
-    for beta in betas:
-        denom = height(beta)
+    t0, gammas = [], [gap_constant(beta).gamma for beta in betas]
+    for beta, gamma in zip(betas, gammas):
+        denom = height(beta, gamma)
         if denom <= 0.0:
             t0.append(math.inf)
             continue
         t0.append(2.0 * PI * math.sqrt((4.0 + 3.0 * S) / denom))
         if not math.isfinite(t0[-1]):
             raise OutOfRange(f"mu={mu} makes T0 overflow at beta={beta}")
-    return 0.5 * (lo + hi), t0
+    return 0.5 * (lo + hi), t0, gammas
 
 
 def observability_constant(T: float, beta: float, S: float) -> float:
@@ -158,13 +159,7 @@ def observability_constant(T: float, beta: float, S: float) -> float:
     NotPositiveWarning (time horizon at or below the threshold).  A horizon
     for which c0 is not finite is rejected with OutOfRange.
     """
-    _check_horizon(T)
-    gamma = gap_constant(beta).gamma
-    value = (T * PI * PI / 2.0) * (
-        1.0 / (PI * PI + T * T * beta * beta)
-        - 4.0 * (4.0 + 3.0 * S) / (T * T * gamma * gamma)
-    )
-    _check_horizon(T, c0=value)
+    value = _observability_constant(T, beta, S, gap_constant(beta).gamma)
     if value <= 0.0:
         warnings.warn(
             f"observability constant is nonpositive ({value}); "
@@ -172,6 +167,17 @@ def observability_constant(T: float, beta: float, S: float) -> float:
             NotPositiveWarning,
             stacklevel=2,
         )
+    return value
+
+
+def _observability_constant(T: float, beta: float, S: float, gamma: float) -> float:
+    """c0(T) for the gamma of `beta`, unflagged; OutOfRange when it is not finite."""
+    _check_horizon(T)
+    value = (T * PI * PI / 2.0) * (
+        1.0 / (PI * PI + T * T * beta * beta)
+        - 4.0 * (4.0 + 3.0 * S) / (T * T * gamma * gamma)
+    )
+    _check_horizon(T, c0=value)
     return value
 
 
@@ -225,11 +231,8 @@ def verify_observability(config: ObservabilityConfig, data: InitialData) -> Obse
     expansion = expand(params, data, config.kmax)
     mu = config.mu if config.mu is not None else mu_from_expansion(expansion).mu_hat
     S = constant_S(mu, config.theta)
-    gamma = gap_constant(config.beta).gamma
-    beta0, t0 = thresholds(config.beta, mu, config.theta)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NotPositiveWarning)
-        c0 = observability_constant(config.T, config.beta, S)
+    beta0, [t0], [gamma] = _thresholds([config.beta], mu, S)
+    c0 = _observability_constant(config.T, config.beta, S, gamma)
     lhs, rhs_sum, margin = _sides(expansion, config.T, c0)
     if not all(map(math.isfinite, (lhs, rhs_sum, margin))):
         # Both sides are quadratic in the data: if the data scaled to a peak

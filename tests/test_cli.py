@@ -34,6 +34,9 @@ from memwave.errors import (
 from memwave.spectrum import _vieta_residuals
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def run(argv, capsys):
     status = parse_and_dispatch(argv)
     captured = capsys.readouterr()
@@ -443,8 +446,7 @@ class TestGridReader:
     def test_powers_of_5_made_on_first_use(self):
         code = ("import memwave.cli as cli; made = cli._pow5_128.cache_info().currsize; "
                 "cli._read_grid(b'1.5,2e-3\\n'); print(made, cli._pow5_128.cache_info().currsize)")
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+        out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": SRC},
                              capture_output=True, text=True, check=True).stdout
         assert out.split() == ["0", "3"]  # q from -3 to -1
 
@@ -1014,14 +1016,15 @@ class TestConfigFile:
         assert out == ""
         assert "subcommand" in err
 
-    @pytest.mark.parametrize("value, table", [("yes", True), ("off", False), ("maybe", None)])
+    @pytest.mark.parametrize("value, table", [("yes", True), ("off", False), ("maybe", None),
+                                              ("", None)])
     def test_boolean_from_file(self, value, table, tmp_path, capsys):
         conf = tmp_path / "flag.conf"
         conf.write_text(f"gamma_table = {value}\nsteps = 2\nbeta = 0.3\nkmax = 4\n")
         status, out, err = run(["gaps", "--config", str(conf)], capsys)
         if table is None:
             assert status == 2
-            assert err == "error: gamma_table: not a boolean: 'maybe'\n"
+            assert err == f"error: gamma_table: not a boolean: {value!r}\n"
             return
         assert status == 0
         assert out.startswith("beta,gamma\n") == table
@@ -1059,6 +1062,27 @@ class TestFileBoundary:
         status, out, err = run(self.THRESHOLDS + ["--output", path], capsys)
         assert (status, out) == (2, "")
         assert err == f"error: output: cannot write {path}: {reason}\n"
+
+    def test_full_stdout_exits_2(self):
+        # the whole of stderr is the one line: no traceback, no "Exception ignored" at exit
+        with open("/dev/full", "w") as full:
+            result = subprocess.run([sys.executable, "-m", "memwave.cli", *self.THRESHOLDS],
+                                    env={"PYTHONPATH": SRC}, stdout=full, stderr=subprocess.PIPE,
+                                    text=True, timeout=60)
+        assert result.returncode == 2
+        assert result.stderr == "error: output: cannot write stdout: No space left on device\n"
+
+    def test_closed_stdout_pipe_exits_2(self):
+        # a reader that stops after its first read, as `| head -c 10` does
+        argv = ["spectrum", "--beta", "0.3", "--eta", "0.45", "--kmax", "400", "--format", "csv"]
+        child = subprocess.Popen([sys.executable, "-m", "memwave.cli", *argv],
+                                 env={"PYTHONPATH": SRC}, stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE, text=True)
+        assert child.stdout.read(10) == "k1,k2,lamb"
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+        assert child.returncode == 2
+        assert err == "error: output: cannot write stdout: Broken pipe\n"
 
     def test_empty_output_exits_2(self, tmp_path, capsys):
         # an empty path is bad input, not stdout: from the flag or from a config
