@@ -125,6 +125,29 @@ def write_grid(path: Path, coeffs: np.ndarray) -> None:
     np.savetxt(path, sines.T @ coeffs @ sines, delimiter=",", fmt="%.17g")
 
 
+def write_random_grid(kmax: int, path: Path, rng) -> None:
+    """A grid of band-limited sine coefficients N(0, 1)/(k1^2 + k2^2)."""
+    k = np.arange(1, kmax + 1, dtype=float)
+    coeffs = rng.standard_normal((kmax, kmax)) / (k[:, None] ** 2 + k[None, :] ** 2)
+    write_grid(path, coeffs)
+
+
+def write_ops(directory: Path, rng) -> dict:
+    """Three inputs of each benchmark op, `observe --kmax 64` and `modes --kmax
+    192` with the flags of bench/workloads.py: argv lists, --output included."""
+    ops = {"observe": [], "modes": []}
+    for name, kmax in (("observe", 64), ("modes", 192)):
+        for index in range(3):
+            u0, u1 = directory / f"{name}{index}-u0.csv", directory / f"{name}{index}-u1.csv"
+            write_random_grid(kmax, u0, rng)
+            write_random_grid(kmax, u1, rng)
+            flags = (["--T", "50.0", "--mu", "1.0", "--beta", repr(rng.uniform(0.005, 0.02))]
+                     if name == "observe" else ["--beta", repr(rng.uniform(0.05, 1.1))])
+            ops[name].append([name, "--kmax", str(kmax), *flags, "--u0", str(u0), "--u1", str(u1),
+                              "--output", str(directory / "op.out")])
+    return ops
+
+
 def blas_threads():
     """The thread count numpy's bundled OpenBLAS reports, or None if it is not found."""
     for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):

@@ -8,18 +8,21 @@ Three measurements:
 
 - Grids.  Band-limited sample grids of kmax 64, 192 and 512 (129^2, 385^2 and
   1025^2 numbers, sine coefficients N(0, 1)/(k1^2 + k2^2), seed 901), written
-  with `%.17g` as the benchmark writes them.  One stage is timed alone: a CSV
-  file in, a float64 matrix out, as `cli._read_grid` of the file's bytes and
-  as `np.loadtxt(path, delimiter=",", ndmin=2)`, in paired rounds; the two
-  matrices must be equal bit for bit in every round.
+  with `%.17g` as the benchmark writes them.  One stage is timed alone, under
+  the CLI's allocator policy: a CSV file in, a float64 matrix out, as
+  `cli._read_grid` of the file's bytes and as `np.loadtxt(path, delimiter=",",
+  ndmin=2)`, in paired rounds; the two matrices must be equal bit for bit in
+  every round.
 - Block sizes.  The benchmark's ops, `observe --kmax 64` and `modes --kmax
   192` on three inputs each, run in fresh interpreters as the benchmark runs
   them, with `np.loadtxt` and with the reader at each of BLOCKS bytes, the
-  settings taking turns.  Recorded per setting: the median CPU time and minor
-  page faults of the grid-loading stage (`cli._load_initial_data`: both
-  grids and their sine coefficients) and the median CPU time of the whole
-  op.  Inside such an op, unlike alone, large blocks can page-fault their
-  temporaries afresh; this chose `cli._GRID_BLOCK`.
+  settings taking turns in an order rotated by one for each interpreter.
+  Recorded per setting: the median CPU time and minor page faults of the
+  grid-loading stage (`cli._load_initial_data`: both grids and their sine
+  coefficients) and the median CPU time of the whole op.  The ops run under
+  the allocator policy `cli.parse_and_dispatch` sets, so a block's
+  temporaries are faulted in once per process, not once per block; what is
+  left to choose by is the cache.  This chose `cli._GRID_BLOCK`.
 - Peak memory.  VmHWM of a fresh interpreter that runs one `modes --kmax
   192` op on the 385^2 grids, with the reader and with `np.loadtxt` for every
   grid, median of HWM_SAMPLES each.  The benchmark's peak_rss_mb is
@@ -43,11 +46,11 @@ import memwave.cli as cli
 
 KMAX = (64, 192, 512)
 PAIRS = {64: 41, 192: 21, 512: 7}
-BLOCKS = (1 << 15, 1 << 16, 3 << 15, 1 << 17, 3 << 16, 1 << 18, 1 << 19)
+BLOCKS = (1 << 15, 1 << 16, 3 << 15, 1 << 17, 3 << 16, 1 << 18, 1 << 19, 1 << 20)
 #: Rounds of the three inputs per interpreter, and interpreters per setting, of
 #: the benchmark's observe and modes ops (as in bench/workloads.py).
 OP_ROUNDS = {"observe": 15, "modes": 2}
-OP_CHILDREN = 3
+OP_CHILDREN = 6
 SEED = 901
 HWM_KMAX = 192
 HWM_SAMPLES = 5
@@ -83,13 +86,6 @@ print(json.dumps(samples))
 """
 
 
-def write_random_grid(kmax: int, path: Path, rng) -> None:
-    """A grid of band-limited sine coefficients N(0, 1)/(k1^2 + k2^2)."""
-    k = np.arange(1, kmax + 1, dtype=float)
-    coeffs = rng.standard_normal((kmax, kmax)) / (k[:, None] ** 2 + k[None, :] ** 2)
-    harness.write_grid(path, coeffs)
-
-
 def measure_grids(paths: dict) -> list:
     rows = []
     for kmax, path in paths.items():
@@ -106,29 +102,14 @@ def measure_grids(paths: dict) -> list:
     return rows
 
 
-def write_ops(directory: Path, rng) -> dict:
-    """Three inputs of each benchmark op: argv lists, --output included."""
-    ops = {"observe": [], "modes": []}
-    for name, kmax in (("observe", 64), ("modes", 192)):
-        for index in range(3):
-            u0, u1 = directory / f"{name}{index}-u0.csv", directory / f"{name}{index}-u1.csv"
-            write_random_grid(kmax, u0, rng)
-            write_random_grid(kmax, u1, rng)
-            flags = (["--T", "50.0", "--mu", "1.0", "--beta", repr(rng.uniform(0.005, 0.02))]
-                     if name == "observe" else ["--beta", repr(rng.uniform(0.05, 1.1))])
-            ops[name].append([name, "--kmax", str(kmax), *flags, "--u0", str(u0), "--u1", str(u1),
-                              "--output", str(directory / "op.out")])
-    return ops
-
-
 def measure_blocks(ops: dict) -> list:
     """Grid-loading stage and whole op, per reader setting, inside the benchmark's ops,
     each setting in fresh interpreters as the benchmark runs them."""
     settings = ("loadtxt", *BLOCKS)
     samples = {(name, setting): [] for name in ops for setting in settings}
-    for _ in range(OP_CHILDREN):
+    for i in range(OP_CHILDREN):
         for name, argvs in ops.items():
-            for setting in settings:
+            for setting in settings[i % len(settings):] + settings[:i % len(settings)]:
                 out = harness.child(OP_CHILD, str(setting), str(OP_ROUNDS[name]),
                                     json.dumps(argvs)).stdout
                 samples[name, setting] += json.loads(out)
@@ -157,20 +138,21 @@ def measure_peak_memory(u0: Path, u1: Path, directory: Path) -> dict:
 
 
 def main() -> None:
+    cli._set_allocator_policy()  # the grids alone are read as the CLI reads them
     rng = np.random.default_rng(SEED)
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
         paths = {}
         for kmax in KMAX:
             paths[kmax] = directory / f"grid-{kmax}.csv"
-            write_random_grid(kmax, paths[kmax], rng)
+            harness.write_random_grid(kmax, paths[kmax], rng)
         u1 = directory / "u1.csv"
-        write_random_grid(HWM_KMAX, u1, rng)
+        harness.write_random_grid(HWM_KMAX, u1, rng)
         memory = measure_peak_memory(paths[HWM_KMAX], u1, directory)
         print(f"modes kmax {HWM_KMAX} op: VmHWM {memory['reader_vmhwm_mb']:.1f} MB with the "
               f"reader, {memory['loadtxt_vmhwm_mb']:.1f} MB with loadtxt", flush=True)
         rows = measure_grids(paths)
-        blocks = measure_blocks(write_ops(directory, rng))
+        blocks = measure_blocks(harness.write_ops(directory, rng))
     harness.write_bench("grid_read", {
         "what": "CPU seconds to read a %.17g CSV grid into float64: memwave.cli._read_grid of "
                 "the file's bytes against np.loadtxt(path, delimiter=',', ndmin=2), paired in "

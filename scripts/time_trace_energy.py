@@ -7,9 +7,10 @@ oracle from `tests/conftest.py`.  For each row, one expansion (normal random
 sine coefficients, seed 601) is timed at T = 50, the horizon of the `observe`
 benchmark workload, in as many rounds as the row says (5, or 1 at kmax 512),
 with the timing and BLAS pool of `scripts/harness.py`.  In each round the
-kernel runs in a fresh interpreter, once untimed to warm up and once timed,
-and the oracle once in this process; they must agree to 1e-12 relative, as in the
-test suite.
+kernel runs in a fresh interpreter under the allocator policy its CLI sets
+(none before `cli._set_allocator_policy`), once untimed to warm up and once
+timed, and the oracle once in this process; they must agree to 1e-12
+relative, as in the test suite.
 
 With --baseline, the kernel of that git revision (exported with `git archive`
 into a temporary directory) is timed the same way on the same inputs, in the
@@ -61,8 +62,10 @@ def expansion_for(kmax: int, beta: float):
 def kernel_sample(src: str, kmax: int, beta: float) -> tuple:
     """(CPU seconds, value) of boundary_trace_energy of the memwave in `src`."""
     sys.path.insert(0, src)
+    import memwave.cli as cli
     from memwave import boundary_trace_energy
 
+    getattr(cli, "_set_allocator_policy", lambda: None)()  # as that revision's CLI runs ops
     expansion = expansion_for(kmax, beta)
     boundary_trace_energy(expansion, T)  # warm up, untimed
     return harness.timed(boundary_trace_energy, expansion, T)()

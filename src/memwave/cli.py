@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import ctypes
 import io
 import json
 import math
@@ -455,10 +456,10 @@ def _nearest_doubles(w, q) -> tuple:
     return bits, (exponent > 0) & (bits < 0x7FF << 52)
 
 
-#: Bytes of whole lines parsed at a time, about 6000 tokens: the fastest in
-#: paired timings inside `observe` and `modes` ops (scripts/time_grid_read.py).
-#: From 256 KiB on, an observe op page-faults the block's temporaries afresh.
-_GRID_BLOCK = 1 << 17
+#: Bytes of whole lines parsed at a time, about 24000 tokens: the fastest in
+#: paired timings inside `observe` and `modes` ops (scripts/time_grid_read.py),
+#: whose temporaries `_set_allocator_policy` keeps mapped from block to block.
+_GRID_BLOCK = 1 << 19
 
 
 def _read_grid(data: bytes) -> Optional[np.ndarray]:
@@ -894,17 +895,46 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
+#: glibc's `mallopt` parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@cache
+def _set_allocator_policy() -> None:
+    """Keep freed memory for the next op, once per process: glibc serves
+    blocks of up to 32 MiB, its 64-bit ceiling, from the heap instead of
+    mapping each afresh, and hands a free heap top back to the kernel only
+    from 128 MiB on.  By default each numpy temporary of 128 KiB or more is
+    unmapped, or trimmed, when freed, so the next one page-faults its memory
+    in again; every temporary of a kmax <= 512 op (at most the DST's
+    1025 x 2052 doubles and a 1025^2 grid's bytes, about 24 MB) now stays in
+    the heap.  A C library without `mallopt` keeps its own policy."""
+    mallopt = getattr(ctypes.CDLL(None) if os.name == "posix" else None, "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 128 << 20)
+
+
 def parse_and_dispatch(argv) -> int:
-    """Run one CLI invocation; returns the process exit status."""
+    """Run one CLI invocation; returns the process exit status.  The first
+    sets the allocator policy of the process (`_set_allocator_policy`)."""
+    _set_allocator_policy()
     try:
         args = _PARSER.parse_args(list(argv))
     except SystemExit as exc:
-        return int(exc.code or 0)
-    if args.subcommand is None:
+        if exc.code:
+            return int(exc.code)
+        args = None  # --help: argparse wrote its text, and ignores a failed write
+    if args is not None and args.subcommand is None:
         print("error: a subcommand is required (see --help)", file=sys.stderr)
         return 2
 
     try:
+        if args is None:
+            _write_output([], None)  # flushes the help text, for a failure to show here
+            return 0
         values = _Values(args, load_config(args.config) if args.config is not None else {})
         _COMMANDS[args.subcommand][0](values, values.get("output"))
         return 0

@@ -86,9 +86,13 @@ _SERIES_CUTOFF = 1e-6
 #: to exp_integral.
 _GRAM_CUTOFF = 1e-3
 
-#: Complex Cauchy-matrix entries per tile of the trace-energy kernel: the tile
-#: stays in cache and each matrix product in it stays on one BLAS thread.
-_TILE_ENTRIES = 2**14
+#: Complex Cauchy-matrix entries per tile of the trace-energy kernel: a 1 MiB
+#: tile stays in a 2 MiB per-core L2 cache.  One set's part of a tile is at
+#: most a quarter of it, 2**14 entries, so that its product with the set's
+#: four coefficient columns stays on one BLAS thread: from about 2**15 entries
+#: on, OpenBLAS splits it over two threads, which doubles its CPU time for no
+#: gain in wall time.
+_TILE_ENTRIES = 2**16
 
 #: Rounding slack used when checking the exact family hypotheses.
 _HYP_SLACK = 1e-12
@@ -317,13 +321,15 @@ def _bound_difference(x) -> np.ndarray:
 
 
 def _tiles(m: int, n: int, cols: int) -> list:
-    """(sets, rows) slices covering an (m, n, cols) stack of Cauchy matrices in
-    tiles of at most max(_TILE_ENTRIES, cols) entries: several whole sets when
-    one fits, else even chunks of the rows of one set."""
-    if n * cols <= _TILE_ENTRIES:
+    """(sets, rows) slices covering an (m, n, cols) stack of Cauchy matrices:
+    as many whole sets as _TILE_ENTRIES entries hold when one set has at most
+    a quarter of them, else even chunks of the rows of one set, each of at
+    most max(_TILE_ENTRIES // 4, cols) entries."""
+    part = _TILE_ENTRIES // 4
+    if n * cols <= part:
         sets = _TILE_ENTRIES // (n * cols)
         return [(slice(j, j + sets), slice(0, n)) for j in range(0, m, sets)]
-    chunks = -(-n // max(1, _TILE_ENTRIES // cols))
+    chunks = -(-n // max(1, part // cols))
     rows = -(-n // chunks)
     return [(slice(j, j + 1), slice(a, a + rows)) for j in range(m) for a in range(0, n, rows)]
 
@@ -334,7 +340,7 @@ def _diagonal(tile, offset: int) -> np.ndarray:
     return tile.reshape(g, rows * cols)[:, offset::cols + 1][:, :rows]
 
 
-def _cauchy_tile(P, Q, T: float, bounds=(0.0, math.inf), diagonal=None, out=None):
+def _cauchy_tile(P, Q, T: float, bounds=(0.0, math.inf), diagonal=None):
     """The Cauchy tile K = 1/(P_a + Q_b) of row exponents P (g, rows) and column
     exponents Q (g, cols), with its fallback tile E.
 
@@ -343,12 +349,9 @@ def _cauchy_tile(P, Q, T: float, bounds=(0.0, math.inf), diagonal=None, out=None
     and K is None when every entry does.  `bounds` holds a lower and an upper
     bound on |P_a + Q_b|: entries are tested one by one only when these do
     not decide.  With `diagonal`, the entries (a, diagonal + a) are zero in K
-    and never in E: the caller adds them itself.  K is written to `out`, a
-    flat buffer of P's dtype, if given.
+    and never in E: the caller adds them itself.
     """
-    shape = P.shape + Q.shape[1:]
-    s = None if out is None else out[:math.prod(shape)].reshape(shape)
-    s = np.add(P[:, :, None], Q[:, None, :], out=s)
+    s = P[:, :, None] + Q[:, None, :]
     gap = _GRAM_CUTOFF / T
     if bounds[1] < gap and diagonal is None:
         return None, exp_integral(s, T)
@@ -374,7 +377,7 @@ def _cauchy_tile(P, Q, T: float, bounds=(0.0, math.inf), diagonal=None, out=None
     return tile, fallback
 
 
-def _cauchy_energy(P, Q, left, right, T: float, bounds, diagonal=None, out=None):
+def _cauchy_energy(P, Q, left, right, T: float, bounds, diagonal=None):
     """sum_ab z_a w_b integral_0^T e^{(P_a + Q_b) t} dt for each coefficient pair.
 
     `left` (g, rows, 2c) interleaves (u*z, -z) and `right` (g, cols, 2c)
@@ -385,7 +388,7 @@ def _cauchy_energy(P, Q, left, right, T: float, bounds, diagonal=None, out=None)
     Entries under the cutoff come from the fallback tile E as z^T E w.
     Returns the sums, shape (g, c).
     """
-    tile, fallback = _cauchy_tile(P, Q, T, bounds, diagonal, out)
+    tile, fallback = _cauchy_tile(P, Q, T, bounds, diagonal)
     if tile is None:
         products = np.zeros(left.shape, dtype=np.result_type(fallback, right))
     else:
@@ -401,11 +404,10 @@ def _interleave(a, b) -> np.ndarray:
     return np.stack([a, b], axis=-1).reshape(*a.shape[:-1], 2 * a.shape[-1])
 
 
-def _chunk_energies(p, r, z, R, T: float, work) -> np.ndarray:
+def _chunk_energies(p, r, z, R, T: float) -> np.ndarray:
     """For one chunk of sets in _real_signal_energies, complex sums whose real
     parts are half the energies: exponents p = i*omega and r (g, n),
-    coefficients z and R (g, n, c); `work` is a flat complex buffer that
-    holds any tile."""
+    coefficients z and R (g, n, c)."""
     g, n = p.shape
     u, v = np.exp(p * T), np.exp(r * T)
     vq = np.concatenate([u, u.conj(), v], axis=1)
@@ -434,13 +436,12 @@ def _chunk_energies(p, r, z, R, T: float, work) -> np.ndarray:
         right = np.concatenate([right_x[J, a0:n] * twice, right_x[J, n + a0:2 * n] * twice,
                                 right_x[J, 2 * n:]], axis=1)
         sums[J] += _cauchy_energy(p[J, A], q, left_x[J, A], right, T,
-                                  (lower_x[J].min(), math.inf), diagonal=n - a0, out=work)
+                                  (lower_x[J].min(), math.inf), diagonal=n - a0)
     for J, A in _tiles(g, n, n):
         a0, a1 = A.start, min(A.stop, n)
         twice = np.where(np.arange(a0, n) < a1, 1.0, 2.0)[:, None]
         sums[J] += 0.5 * _cauchy_energy(r[J, A], r[J, a0:], left_y[J, A], right_y[J, a0:] * twice,
-                                        T, (lower_y[J].min(), upper_y[J].max()),
-                                        out=work.view(float))
+                                        T, (lower_y[J].min(), upper_y[J].max()))
     return sums
 
 
@@ -463,11 +464,13 @@ def _real_signal_energies(omegas, rs, Cs, Rs, T: float) -> np.ndarray:
     screened for the cutoff one by one only where bounds from the extremes
     and gaps of the exponents cannot rule it out.
 
-    The forms are evaluated in tiles of about _TILE_ENTRIES entries (see
-    _tiles) in one reused buffer, and the coefficient stacks for a chunk of
-    sets at a time: memory stays O(m*n + _TILE_ENTRIES), and each matrix
-    product is small enough to run on one BLAS thread.  A tile of a few rows
-    of a set evaluates the symmetric X^2 and Y^2 parts and the Hermitian
+    The forms are evaluated in tiles of at most _TILE_ENTRIES entries (see
+    _tiles), and the coefficient stacks for a chunk of _TILE_ENTRIES // 4
+    entries' worth of sets at a time: memory stays O(m*n + _TILE_ENTRIES),
+    and each matrix product is small enough to run on one BLAS thread.
+    (Chunks of 4x as many sets raised the peak memory at kmax 512 from 82
+    to 112 MB, for no CPU saving beyond the noise of paired timings.)  A
+    tile of a few rows of a set evaluates the symmetric X^2 and Y^2 parts and the Hermitian
     |X|^2 part on and above the diagonal only.  The exponents' real parts
     may have either sign: the screening bounds hold for both, and e^{pT}
     overflows no earlier than the energy's own diagonal term e^{2 Re p T}.
@@ -477,12 +480,11 @@ def _real_signal_energies(omegas, rs, Cs, Rs, T: float) -> np.ndarray:
     z = np.asarray(Cs, dtype=complex)
     R = np.asarray(Rs, dtype=float)
     m, n = p.shape
-    work = np.empty(min(m * n * 3 * n, max(_TILE_ENTRIES, 3 * n)), dtype=complex)
-    chunk = max(1, _TILE_ENTRIES // n)
+    chunk = max(1, _TILE_ENTRIES // 4 // n)
     totals = np.empty(z.shape[::2], dtype=complex)
     for j in range(0, m, chunk):
         J = slice(j, j + chunk)
-        totals[J] = _chunk_energies(p[J], r[J], z[J], R[J], T, work)
+        totals[J] = _chunk_energies(p[J], r[J], z[J], R[J], T)
     return np.array([[_clamped_energy(float(2.0 * totals[j, c].real),
                                       lambda: _energy_budget(p[j], r[j], z[j, :, c], R[j, :, c], T))
                       for c in range(totals.shape[1])] for j in range(m)])

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import platform
 import subprocess
 import sys
 import tempfile
@@ -18,7 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import memwave.cli as cli
-from conftest import reference_csv_table, reference_json_dumps, reference_mode_table
+from conftest import (reference_csv_table, reference_json_dumps, reference_mode_table,
+                      sine_polynomial_on_grid)
 from memwave import InitialData, KernelParams, Violation, expand, gap_constant, mode_spectrum
 from memwave.cli import format_float, load_config, parse_and_dispatch
 from memwave.errors import (
@@ -718,6 +720,38 @@ class TestObserveCommand:
         assert report["verdict"] is False
         assert report["T0"] == math.inf  # serialized as Infinity
 
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the allocator policy is glibc's mallopt")
+    def test_steady_state_op_faults_in_no_fresh_pages(self, tmp_path):
+        # glibc's default policy unmaps or trims each temporary of 128 KiB and
+        # more when it is freed, for the next op to fault it in afresh.  The ops
+        # run in a fresh interpreter: glibc raises its thresholds with what a
+        # process has freed, which in this one could hide the faults.
+        rng = np.random.default_rng(23)
+        k = np.arange(1, 65.0)
+        argv = ["observe", "--beta", "0.01", "--T", "50", "--mu", "1", "--kmax", "64",
+                "--output", str(tmp_path / "report.json")]
+        for name in ("u0", "u1"):
+            coeffs = rng.standard_normal((64, 64)) / (k[:, None] ** 2 + k**2)
+            np.savetxt(tmp_path / f"{name}.csv", sine_polynomial_on_grid(coeffs, 129),
+                       delimiter=",", fmt="%.17g")
+            argv += [f"--{name}", str(tmp_path / f"{name}.csv")]
+        code = """
+import json, resource, sys
+from memwave.cli import parse_and_dispatch
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert parse_and_dispatch(sys.argv[1:]) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+        result = subprocess.run([sys.executable, "-c", code, *argv], env={"PYTHONPATH": SRC},
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        faults = json.loads(result.stdout)
+        assert faults[1] < 100, faults
+
 
 class TestFiniteReport:
     """A report float that is not finite fails the run, unless it is an infeasible T0."""
@@ -1067,6 +1101,16 @@ class TestFileBoundary:
         # the whole of stderr is the one line: no traceback, no "Exception ignored" at exit
         with open("/dev/full", "w") as full:
             result = subprocess.run([sys.executable, "-m", "memwave.cli", *self.THRESHOLDS],
+                                    env={"PYTHONPATH": SRC}, stdout=full, stderr=subprocess.PIPE,
+                                    text=True, timeout=60)
+        assert result.returncode == 2
+        assert result.stderr == "error: output: cannot write stdout: No space left on device\n"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["modes", "--help"]])
+    def test_help_to_full_stdout_exits_2(self, argv):
+        # argparse ignores a failed write of its help text; the flush shows it
+        with open("/dev/full", "w") as full:
+            result = subprocess.run([sys.executable, "-m", "memwave.cli", *argv],
                                     env={"PYTHONPATH": SRC}, stdout=full, stderr=subprocess.PIPE,
                                     text=True, timeout=60)
         assert result.returncode == 2

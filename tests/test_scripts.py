@@ -98,3 +98,24 @@ def test_bits_equal_tells_signed_zeros_and_fallbacks_apart(harness):
     assert harness.bits_equal(grid.copy(), grid)
     assert not harness.bits_equal(np.array([[-0.0, 1.5]]), grid)  # equal, but not bit for bit
     assert not harness.bits_equal(None, grid)
+
+
+def test_page_fault_summary_splits_first_and_steady_ops(modules):
+    # two runs of two inputs: (cpu, sys, faults, digest) per op, one round after the first
+    runs = [[(0.5, 0.25, 900, "a"), (2.0, 1.0, 5, "b"), (0.25, 0.0, 1, "a"), (0.75, 0.0, 3, "b")],
+            [(1.0, 0.75, 700, "a"), (2.0, 1.0, 7, "b"), (0.25, 0.0, 0, "a"), (0.25, 0.0, 2, "b")]]
+    assert modules["time_page_faults"].summary(runs, 2) == {
+        "first_op_faults": 800, "first_op_cpu_s": 0.75, "first_op_sys_s": 0.5,
+        "steady_op_faults": 1.5, "steady_op_cpu_s": 0.25, "steady_op_sys_s": 0.0}
+
+
+def test_page_fault_bench_shows_the_allocator_policy():
+    # steady-state ops fault in next to no fresh pages under the CLI's policy
+    rows = {(row["op"], row["setting"]): row
+            for row in json.loads((ROOT / "BENCH_page_faults.json").read_text())["rows"]}
+    for op, most in (("observe", 50), ("modes", 100)):
+        policy, default = rows[op, "policy"], rows[op, "glibc_default"]
+        assert policy["steady_op_faults"] <= min(most, default["steady_op_faults"])
+        assert policy["first_op_faults"] < default["first_op_faults"]
+    # with glibc's defaults every observe op faults its large temporaries in afresh
+    assert rows["observe", "glibc_default"]["steady_op_faults"] > 1000
