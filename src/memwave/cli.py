@@ -3,11 +3,11 @@
 Subcommands
 -----------
 spectrum      per-mode roots table (csv or json)
-gaps          gap audit as JSON, or a beta -> gamma table as CSV
+gaps          gap audit as JSON
 ingham-check  energy lower bound report for a family file
 modes         recover per-mode coefficients from sampled initial data
 observe       full observability report as JSON
-thresholds    beta, gamma, S, T0 table as CSV
+thresholds    beta, gamma, S, T0 table as CSV (the beta -> gamma table)
 
 Every subcommand writes to --output (stdout when absent) and reads --config, a
 flat `key = value` file (# comments) whose keys are flag names (not the
@@ -44,9 +44,9 @@ sample-grid file with no numbers, a non-finite sample (flag, file, row and
 column named), a grid whose sine coefficients overflow, initial data whose
 observe inequality overflows, an input file that cannot be read or an --output
 (or stdout) that cannot be written, an empty string value (an empty --output
-path or gamma_table word, say), a config or family file that is not UTF-8, and
-a family file whose top level is not an object, whose tau is not a finite
-integer or whose arrays are not flat lists.
+path, say), a config or family file that is not UTF-8, and a family file whose
+top level is not an object, whose tau is not a finite integer or whose arrays
+are not flat lists.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .gap_analysis import audit_gaps, gap_constant
+from .gap_analysis import audit_gaps
 from .ingham import ExponentFamily, _certify_bound, check_hypotheses, energy_lower_bound
 from .modes import InitialData, expand, sine_coefficients
 from .observability import ObservabilityConfig, _thresholds, constant_S, verify_observability
@@ -290,11 +290,9 @@ def _table(columns: Dict[str, Sequence], heads: Sequence[str], tail: str, end: s
 
 
 def _report_value(value) -> str:
-    """A report cell: a number, or by name a bool, a string or a list of strings."""
+    """A report cell: a number, or by name a bool or a list of strings."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, str):
-        return json.dumps(value)
     if isinstance(value, list):
         items = ",\n".join(f"    {json.dumps(item)}" for item in value)
         return f"[\n{items}\n  ]" if value else "[]"
@@ -591,19 +589,9 @@ class _Flag(NamedTuple):
     default: object = None
 
 
-def _boolean(raw) -> bool:
-    """A switch: True from the command line, or a config-file word."""
-    text = str(raw).strip().lower()
-    if text in ("1", "true", "yes", "on"):
-        return True
-    if text in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
-
-
 #: The parser of each flag type, and what a value it rejects is not.
 _PARSERS = {float: (float, "a number"), int: (lambda raw: int(raw, 10), "an integer"),
-            bool: (_boolean, "a boolean"), str: (str, "a string")}
+            str: (str, "a string")}
 
 #: Every flag by destination, which is also its config-file key.
 _FLAGS = {
@@ -611,8 +599,6 @@ _FLAGS = {
     "eta": _Flag("--eta", float, "kernel decay rate", minimum=0.0),
     "kmax": _Flag("--kmax", int, "modes per direction", minimum=1, maximum=512),
     "format": _Flag("--format", str, "table format", choices=("csv", "json"), default="csv"),
-    "gamma_table": _Flag("--gamma-table", bool, "a beta,gamma CSV table instead", default=False),
-    "steps": _Flag("--steps", int, "beta intervals of the gamma table", minimum=1),
     "family": _Flag("--family", str, "exponent family JSON file"),
     "t": _Flag("--T", float, "time horizon", above=0.0),
     "u0": _Flag("--u0", str, "CSV grid of initial displacement samples"),
@@ -761,11 +747,6 @@ def _run_spectrum(values: _Values, output: Optional[str]) -> None:
 
 
 def _run_gaps(values: _Values, output: Optional[str]) -> None:
-    if values["gamma_table"]:
-        betas = np.linspace(0.0, BETA_MAX, values["steps"] + 1).tolist()
-        _write_output(_csv({"beta": betas, "gamma": [gap_constant(b).gamma for b in betas]}),
-                      output)
-        return
     beta, kmax = values["beta"], values["kmax"]
     audit = audit_gaps(KernelParams.limiting_regime(beta), kmax)
     _write_report(asdict(audit), output)
@@ -862,7 +843,7 @@ def _run_thresholds(values: _Values, output: Optional[str]) -> None:
 _COMMANDS = {
     "spectrum": (_run_spectrum, "per-mode characteristic roots table",
                  ("beta", "eta", "kmax", "format")),
-    "gaps": (_run_gaps, "gap audit or gamma table", ("beta", "kmax", "gamma_table", "steps")),
+    "gaps": (_run_gaps, "gap audit", ("beta", "kmax")),
     "ingham-check": (_run_ingham_check, "energy lower bound for a family file", ("family", "t")),
     "modes": (_run_modes, "recover per-mode coefficients from sampled data",
               ("beta", "kmax", "u0", "u1")),
@@ -886,8 +867,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key = value config file; flags override file values")
         for name in ("output", *names):
             flag = _FLAGS[name]
-            p.add_argument(flag.spelling, dest=name, default=None, help=flag.help,
-                           action="store_true" if flag.type is bool else "store")
+            p.add_argument(flag.spelling, dest=name, default=None, help=flag.help)
     return parser
 
 

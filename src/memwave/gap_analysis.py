@@ -155,6 +155,12 @@ def freq_scale(x):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _check_beta(beta: float) -> None:
+    """OutOfRange unless 0 <= beta <= 2/sqrt(3), up to 1e-12 of rounding."""
+    if not (0.0 <= beta <= BETA_MAX + 1e-12):
+        raise OutOfRange(f"beta must lie in [0, 2/sqrt(3)], got {beta}")
+
+
 def gap_constant(beta: float) -> GapConstant:
     """Explicit gap constant gamma(beta) on [0, 2/sqrt(3)].
 
@@ -162,8 +168,7 @@ def gap_constant(beta: float) -> GapConstant:
     (sqrt(2)-1)/2 * F at the lowest mode); they must agree to 1e-12 or the
     call fails with AuditFailure.  gamma(0) = sqrt(2) - 1.
     """
-    if not (0.0 <= beta <= BETA_MAX + 1e-12):
-        raise OutOfRange(f"beta must lie in [0, 2/sqrt(3)], got {beta}")
+    _check_beta(beta)
     radicand = 1.0 - 1.125 * beta * beta + (27.0 / 64.0) * beta**4
     if radicand < 0.0:
         raise NegativeRadicand(f"gap-constant radicand negative at beta={beta}")

@@ -97,6 +97,10 @@ _TILE_ENTRIES = 2**16
 #: Rounding slack used when checking the exact family hypotheses.
 _HYP_SLACK = 1e-12
 
+#: Relative rounding slack of the energy checks: a negative energy residue, the
+#: Ingham bound and the observability verdict.
+_ENERGY_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class ExponentFamily:
@@ -276,7 +280,7 @@ def _clamped_energy(total: float, budget) -> float:
     """
     if total < 0.0:
         scale = budget()
-        if total < -1e-9 * (scale + 1.0):
+        if total < -_ENERGY_SLACK * (scale + 1.0):
             raise AuditFailure(
                 f"energy integral came out negative beyond rounding: {total}",
                 datum=(total, scale),
@@ -640,6 +644,6 @@ def energy_lower_bound(family: ExponentFamily, T: float, check: bool = True) -> 
 def _certify_bound(report: InghamBoundReport) -> None:
     """Certify lhs >= rhs - 1e-9*(1 + |rhs|); AuditFailure with datum (lhs, rhs)
     otherwise."""
-    if report.margin < -1e-9 * (1.0 + abs(report.rhs)):
+    if report.margin < -_ENERGY_SLACK * (1.0 + abs(report.rhs)):
         raise AuditFailure(f"energy lower bound failed: lhs={report.lhs} < rhs={report.rhs}",
                            datum=(report.lhs, report.rhs))

@@ -43,8 +43,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotPositiveWarning, OutOfRange, ThetaOutOfRange
-from .gap_analysis import gap_constant
-from .ingham import _check_horizon, _real_signal_energies, constant_S
+from .gap_analysis import _check_beta, gap_constant
+from .ingham import _ENERGY_SLACK, _check_horizon, _real_signal_energies, constant_S
 from .modes import InitialData, ModeExpansion, expand, mu_from_expansion
 from .spectrum import BETA_MAX, KernelParams, _require_symmetric
 
@@ -73,8 +73,7 @@ class ObservabilityConfig:
     theta: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 <= self.beta <= BETA_MAX + 1e-12):
-            raise OutOfRange(f"beta must lie in [0, 2/sqrt(3)], got {self.beta}")
+        _check_beta(self.beta)
         _check_horizon(self.T)
         if self.kmax < 1:
             raise OutOfRange(f"kmax must be >= 1, got {self.kmax}")
@@ -117,8 +116,7 @@ def thresholds(beta: float, mu: float, theta: float = 1.0):
     at the given beta and is +inf when that beta is already infeasible; a
     feasible beta whose T0 overflows (huge mu) is rejected with OutOfRange.
     """
-    if not (0.0 <= beta <= BETA_MAX + 1e-12):
-        raise OutOfRange(f"beta must lie in [0, 2/sqrt(3)], got {beta}")
+    _check_beta(beta)
     beta0, [t0], _ = _thresholds([beta], mu, constant_S(mu, theta))
     return beta0, t0
 
@@ -247,7 +245,7 @@ def verify_observability(config: ObservabilityConfig, data: InitialData) -> Obse
     below_threshold = not (config.T > t0)
     infeasible = config.beta >= beta0
     verdict = (
-        margin >= -1e-9 * (1.0 + lhs) and not below_threshold and not infeasible
+        margin >= -_ENERGY_SLACK * (1.0 + lhs) and not below_threshold and not infeasible
     )
     return ObservabilityReport(
         lhs=lhs,

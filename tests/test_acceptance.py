@@ -347,7 +347,7 @@ def test_criterion_9_cli_determinism(tmp_path):
         ["spectrum", "--beta", "0.5", "--eta", "0.75", "--kmax", "8", "--format", "csv"],
         ["spectrum", "--beta", "0.5", "--eta", "0.75", "--kmax", "4", "--format", "json"],
         ["gaps", "--beta", "0.4", "--kmax", "16"],
-        ["gaps", "--gamma-table", "--steps", "32"],
+        ["thresholds", "--mu", "0.5", "--theta", "0.75", "--beta-steps", "32"],
         ["ingham-check", "--family", str(family), "--T", "4"],
         ["modes", "--beta", "0.1", "--kmax", "4", "--u0", str(u0), "--u1", str(u1)],
         ["observe", "--beta", "0.01", "--T", "50", "--kmax", "4", "--mu", "1",

@@ -507,15 +507,25 @@ class TestGapsCommand:
         assert audit["min_ratio_k2"] >= gap_constant(0.3).gamma
         assert audit["gamma"] == pytest.approx(gap_constant(0.3).gamma, abs=0)
 
-    def test_gamma_table(self, capsys):
-        status, out, _ = run(["gaps", "--gamma-table", "--steps", "4"], capsys)
-        assert status == 0
-        lines = out.strip().split("\n")
-        assert lines[0] == "beta,gamma"
-        assert len(lines) == 6
-        first = lines[1].split(",")
-        assert float(first[0]) == 0.0
-        assert float(first[1]) == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-12)
+    @pytest.mark.parametrize("argv, config", [
+        (["--gamma-table"], None), (["--steps", "4"], None),
+        ([], "gamma_table = yes\n"), ([], "steps = 4\n"),
+    ], ids=["gamma-table-flag", "steps-flag", "gamma_table-key", "steps-key"])
+    def test_removed_table_flags_exit_2(self, argv, config, tmp_path, capsys):
+        # gaps writes the audit only (the beta -> gamma table is the beta and
+        # gamma columns of `thresholds`): no table switch or step count
+        if config is not None:
+            conf = tmp_path / "table.conf"
+            conf.write_text(config)
+            argv = ["--config", str(conf)]
+        status, out, err = run(["gaps", "--beta", "0.3", "--kmax", "4", *argv], capsys)
+        assert (status, out) == (2, "")
+        if config is not None:
+            assert err == f"error: {config.partition(' ')[0]}: unknown configuration key\n"
+        else:  # argparse's usage line, then its one error line
+            assert err.startswith("usage:")
+            assert err.splitlines()[1:] == [f"memwave: error: unrecognized arguments: "
+                                            f"{' '.join(argv)}"]
 
     def test_beta_out_of_range(self, capsys):
         status, _, err = run(["gaps", "--beta", "2.0", "--kmax", "8"], capsys)
@@ -1023,7 +1033,7 @@ class TestConfigFile:
         from memwave.cli import _KNOWN_KEYS
 
         assert _KNOWN_KEYS == {
-            "beta", "eta", "kmax", "format", "steps", "gamma_table",
+            "beta", "eta", "kmax", "format",
             "family", "t", "u0", "u1", "mu", "theta", "beta_steps",
             "output",
         }
@@ -1049,20 +1059,6 @@ class TestConfigFile:
         assert status == 2
         assert out == ""
         assert "subcommand" in err
-
-    @pytest.mark.parametrize("value, table", [("yes", True), ("off", False), ("maybe", None),
-                                              ("", None)])
-    def test_boolean_from_file(self, value, table, tmp_path, capsys):
-        conf = tmp_path / "flag.conf"
-        conf.write_text(f"gamma_table = {value}\nsteps = 2\nbeta = 0.3\nkmax = 4\n")
-        status, out, err = run(["gaps", "--config", str(conf)], capsys)
-        if table is None:
-            assert status == 2
-            assert err == f"error: gamma_table: not a boolean: {value!r}\n"
-            return
-        assert status == 0
-        assert out.startswith("beta,gamma\n") == table
-        assert ('"min_ratio_k2"' in out) == (not table)
 
     def test_comments_and_hyphens(self, tmp_path, capsys):
         conf = tmp_path / "ok.conf"
@@ -1203,8 +1199,8 @@ class TestDeterminism:
         ["spectrum", "--beta", "0.4", "--eta", "0.6", "--kmax", "6", "--format", "csv"],
         ["spectrum", "--beta", "0.4", "--eta", "0.6", "--kmax", "4", "--format", "json"],
         ["gaps", "--beta", "0.3", "--kmax", "12"],
-        ["gaps", "--gamma-table", "--steps", "16"],
         ["thresholds", "--mu", "1", "--beta-steps", "8"],
+        ["thresholds", "--mu", "1", "--beta-steps", "16"],
     )
 
     @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0] + "-" + a[-1])
@@ -1223,7 +1219,6 @@ class TestDeterminism:
 GRIDS = [str(GOLDEN_FAMILY.parent / "u0.csv"), str(GOLDEN_FAMILY.parent / "u1.csv")]
 GOOD = {"--beta": ["0", "0.01", "0.3", "1"], "--eta": ["0", "0.45", "2"],
         "--kmax": ["1", "2", "3", "6", "8"], "--format": ["csv", "json"],
-        "--gamma-table": [None, "yes"], "--steps": ["1", "8", "64"],
         "--beta-steps": ["1", "8", "64"], "--T": ["4", "20", "50"],
         "--mu": [None, "0.5", "1", "1e300"], "--theta": [None, "0.75", "1", "1e300"],
         "--family": ["{tmp}/family.json"], "--u0": GRIDS, "--u1": GRIDS,
@@ -1236,7 +1231,7 @@ PATHS = ["{tmp}/missing/x", "{tmp}", "{tmp}/family.json", "a\0b"]
 #: The flags of each subcommand.
 FUZZ_FLAGS = {
     "spectrum": ("--beta", "--eta", "--kmax", "--format"),
-    "gaps": ("--beta", "--kmax", "--gamma-table", "--steps"),
+    "gaps": ("--beta", "--kmax"),
     "ingham-check": ("--family", "--T"),
     "modes": ("--beta", "--kmax", "--u0", "--u1"),
     "observe": ("--beta", "--T", "--kmax", "--mu", "--theta", "--u0", "--u1"),
@@ -1271,8 +1266,6 @@ def cli_runs(draw):
             continue
         if draw(st.booleans()):  # from the config file
             config += f"{flag.lstrip('-')} = {value}\n"
-        elif flag == "--gamma-table":
-            argv.append(flag)
         else:
             argv.append(f"{flag}={value}")
     if fault == "config":

@@ -35,7 +35,6 @@ CASES = {
     "spectrum_json": ("spectrum", "--beta", "0.4", "--eta", "0.6", "--kmax", "4",
                       "--format", "json"),
     "gaps_audit": ("gaps", "--beta", "0.3", "--kmax", "12"),
-    "gaps_gamma_table": ("gaps", "--gamma-table", "--steps", "16"),
     "thresholds": ("thresholds", "--mu", "1", "--beta-steps", "8"),
     "thresholds_theta": ("thresholds", "--mu", "0.5", "--theta", "0.75", "--beta-steps", "5"),
     "ingham_check": ("ingham-check", "--family", "{dir}/family.json", "--T", "4"),
@@ -71,11 +70,23 @@ def test_one_parser_serves_every_call(rejected, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_build_parser", None)
     assert parse_and_dispatch(list(rejected)) == 2
     capsys.readouterr()
-    for name in ("spectrum_json", "modes", "gaps_gamma_table", "thresholds_theta"):
+    for name in ("spectrum_json", "modes", "gaps_audit", "thresholds_theta"):
         output = tmp_path / f"{name}.out"
         assert _run_case(name, output) == 0
         assert capsys.readouterr().err == ""
         assert output.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_gamma_table_is_the_beta_and_gamma_columns_of_thresholds(tmp_path, capsys):
+    # the beta -> gamma table is the first two columns of a `thresholds` table,
+    # byte for byte
+    output = tmp_path / "thresholds.out"
+    assert parse_and_dispatch(["thresholds", "--mu", "1", "--beta-steps", "16",
+                               "--output", str(output)]) == 0
+    assert capsys.readouterr().err == ""
+    columns = b"".join(b",".join(line.split(b",")[:2]) + b"\n"
+                       for line in output.read_bytes().splitlines())
+    assert columns == (GOLDEN / "gamma_table.out").read_bytes()
 
 
 def _exact_energy(family, T):

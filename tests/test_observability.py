@@ -401,6 +401,17 @@ class TestVerifyObservability:
         assert report.below_threshold
         assert not report.verdict
 
+    def test_finite_trace_parts_whose_sum_overflows(self):
+        # both trace parts are 9.12e307, finite, but math.fsum of them overflows:
+        # the trace energy raises, and the verdict names the data's scale
+        data = InitialData(a=np.array([[2**509.36180904522615]]), b=np.zeros((1, 1)), kmax=1)
+        config = ObservabilityConfig(beta=0.01, T=50.0, kmax=1, mu=1.0)
+        with pytest.raises(OverflowError):
+            boundary_trace_energy(expand(KernelParams.limiting_regime(0.01), data), 50.0)
+        with pytest.raises(OutOfRange, match=r"lhs=inf, .* the data's scale \(peak coefficient "
+                                             r"2\.15\d*e\+153\) is too large"):
+            verify_observability(config, data)
+
     def test_estimated_mu_used_when_not_supplied(self):
         rng = np.random.default_rng(107)
         data = random_data(rng, 5)
