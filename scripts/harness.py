@@ -1,12 +1,14 @@
 """The timing harness of the `scripts/time_*.py` measurement scripts.
 
 Importing it, before numpy loads, puts the checkout's `src/` and `tests/`
-first on the path and sizes the BLAS pool to the CPUs this process may run
-on, as the benchmark does (`bench/run.py::program_env`); fresh interpreters
-started by `child` inherit both.  Every time is CPU time: `time.process_time`
-(user + system of every thread of this process) for a call in this process,
-the growth of RUSAGE_CHILDREN for a child, or what a child measured of its
-own calls.
+first on the path, sizes the BLAS pool to the CPUs this process may run on,
+as the benchmark does (`bench/run.py::program_env`), and defaults
+OPENBLAS_THREAD_TIMEOUT to 4, as importing `memwave` does, so that idle
+OpenBLAS threads do not spin; fresh interpreters started by `child` inherit
+all three.  It does not import `memwave` itself: a script may import another
+revision's.  Every time is CPU time: `time.process_time` (user + system of
+every thread of this process) for a call in this process, the growth of
+RUSAGE_CHILDREN for a child, or what a child measured of its own calls.
 
 `paired` is the one sampler: it runs its sides in rounds, each round in a
 rotated order, so that of two sides each runs first in every other round,
@@ -33,11 +35,13 @@ ROOT = Path(__file__).resolve().parent.parent
 CPUS = len(os.sched_getaffinity(0))
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = str(CPUS)
+#: OpenBLAS's busy-wait, as a power of two of cycles, for this process and its children.
+BLAS_THREAD_TIMEOUT = os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 
-#: The environment of a child: this one's BLAS pool, and `src/` first on its path.
+#: The environment of a child: this one's BLAS policy, and `src/` first on its path.
 _CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
@@ -100,13 +104,13 @@ class Child(NamedTuple):
     vmhwm_mb: float
 
 
-def child(code: str, *args: str, flags: tuple = ()) -> Child:
+def child(code: str, *args: str, flags: tuple = (), env: dict | None = None) -> Child:
     """Run `code` in a fresh interpreter (`python [flags] -c code args`) with the
-    child environment; its output (less the VmHWM line), user + system CPU
-    seconds and VmHWM in MB.  A child that fails stops the script."""
+    child environment, updated by `env`; its output (less the VmHWM line), user
+    + system CPU seconds and VmHWM in MB.  A child that fails stops the script."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     result = subprocess.run([sys.executable, *flags, "-c", code + _VMHWM, *args],
-                            env=_CHILD_ENV, capture_output=True, text=True)
+                            env={**_CHILD_ENV, **(env or {})}, capture_output=True, text=True)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if result.returncode != 0:
         raise SystemExit(f"a child failed with status {result.returncode}:\n{result.stderr}")
@@ -163,7 +167,8 @@ def blas_threads():
 def host() -> dict:
     """The host record of every BENCH file."""
     return {"machine": platform.machine(), "cpus": CPUS, "blas_threads": blas_threads(),
-            "python": platform.python_version(), "numpy": np.__version__}
+            "blas_thread_timeout": BLAS_THREAD_TIMEOUT, "python": platform.python_version(),
+            "numpy": np.__version__}
 
 
 def write_bench(name: str, report: dict) -> None:

@@ -9,7 +9,7 @@ Three measurements:
 - Grids.  Band-limited sample grids of kmax 64, 192 and 512 (129^2, 385^2 and
   1025^2 numbers, sine coefficients N(0, 1)/(k1^2 + k2^2), seed 901), written
   with `%.17g` as the benchmark writes them.  One stage is timed alone, under
-  the CLI's allocator policy: a CSV file in, a float64 matrix out, as
+  the CLI's process policy: a CSV file in, a float64 matrix out, as
   `cli._read_grid` of the file's bytes and as `np.loadtxt(path, delimiter=",",
   ndmin=2)`, in paired rounds; the two matrices must be equal bit for bit in
   every round.
@@ -20,7 +20,7 @@ Three measurements:
   Recorded per setting: the median CPU time and minor page faults of the
   grid-loading stage (`cli._load_initial_data`: both grids and their sine
   coefficients) and the median CPU time of the whole op.  The ops run under
-  the allocator policy `cli.parse_and_dispatch` sets, so a block's
+  the process policy `cli.parse_and_dispatch` sets, so a block's
   temporaries are faulted in once per process, not once per block; what is
   left to choose by is the cache.  This chose `cli._GRID_BLOCK`.
 - Peak memory.  VmHWM of a fresh interpreter that runs one `modes --kmax
@@ -138,7 +138,7 @@ def measure_peak_memory(u0: Path, u1: Path, directory: Path) -> dict:
 
 
 def main() -> None:
-    cli._set_allocator_policy()  # the grids alone are read as the CLI reads them
+    cli._set_process_policy()  # the grids alone are read as the CLI reads them
     rng = np.random.default_rng(SEED)
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)

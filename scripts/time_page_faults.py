@@ -1,5 +1,5 @@
 """Count the page faults and CPU time of the benchmark's ops with and without the
-CLI's allocator policy; write BENCH_page_faults.json.
+CLI's process policy; write BENCH_page_faults.json.
 
     python3 scripts/time_page_faults.py
 
@@ -7,9 +7,10 @@ Run from the root of a checkout on Linux with glibc; the program is imported
 from `src/`.  The benchmark's ops, `observe --kmax 64` and `modes --kmax 192`
 on three band-limited inputs each (`harness.write_ops`, seed 907), run in
 fresh interpreters as the benchmark runs them: each input once, then ROUNDS
-more rounds of the three.  Half of the interpreters run under the allocator
-policy `cli.parse_and_dispatch` sets (`cli._set_allocator_policy`); the other
-half stub it out before their first op and keep glibc's defaults.  The two
+more rounds of the three.  Half of the interpreters run under the process
+policy `cli.parse_and_dispatch` sets (`cli._set_process_policy`: the allocator
+thresholds and one BLAS thread); the other half stub it out before their first
+op and keep glibc's allocator defaults and the harness's BLAS pool.  The two
 settings take turns, CHILDREN interpreters each.
 
 Recorded per op and setting, as medians over the interpreters (the first op)
@@ -37,16 +38,16 @@ import numpy as np
 ROUNDS = {"observe": 10, "modes": 3}
 CHILDREN = 5
 SEED = 907
-SETTINGS = ("policy", "glibc_default")
+SETTINGS = ("policy", "no_policy")
 
 #: Runs the ops of argv[2] (a JSON list of argv lists) once, then argv[1] more
-#: rounds, with the allocator policy stubbed out when argv[3] is "glibc_default";
+#: rounds, with the process policy stubbed out when argv[3] is "no_policy";
 #: prints (CPU s, system CPU s, minor faults, sha256 of the output) per op.
 OP_CHILD = """
 import hashlib, json, resource, sys, time
 import memwave.cli as cli
-if sys.argv[3] == "glibc_default":
-    cli._set_allocator_policy = lambda: None
+if sys.argv[3] == "no_policy":
+    cli._set_process_policy = lambda: None
 ops, samples = json.loads(sys.argv[2]), []
 for argv in ops * (1 + int(sys.argv[1])):
     before, start = resource.getrusage(resource.RUSAGE_SELF), time.process_time()
@@ -109,10 +110,11 @@ def main() -> None:
     harness.write_bench("page_faults", {
         "what": "minor page faults, CPU s and system CPU s of one op, and VmHWM (MB) of its "
                 "interpreter, for the benchmark's observe --kmax 64 and modes --kmax 192 ops "
-                "in fresh interpreters, under the CLI's allocator policy (mallopt "
-                "M_MMAP_THRESHOLD 32 MiB, M_TRIM_THRESHOLD 128 MiB) and with glibc's "
-                "defaults; first_op: median over interpreters of the first op, steady_op: "
-                "median over every op after the first round",
+                "in fresh interpreters, under the CLI's process policy (mallopt "
+                "M_MMAP_THRESHOLD 32 MiB, M_TRIM_THRESHOLD 128 MiB; one BLAS thread) and "
+                "with none (glibc's defaults, the harness's BLAS pool); first_op: median "
+                "over interpreters of the first op, steady_op: median over every op after "
+                "the first round",
         "inputs": f"three band-limited inputs per op (harness.write_ops), seed {SEED}",
         "rounds": ROUNDS,
         "rows": rows,

@@ -7,15 +7,16 @@ oracle from `tests/conftest.py`.  For each row, one expansion (normal random
 sine coefficients, seed 601) is timed at T = 50, the horizon of the `observe`
 benchmark workload, in as many rounds as the row says (5, or 1 at kmax 512),
 with the timing and BLAS pool of `scripts/harness.py`.  In each round the
-kernel runs in a fresh interpreter under the allocator policy its CLI sets
-(none before `cli._set_allocator_policy`), once untimed to warm up and once
-timed, and the oracle once in this process; they must agree to 1e-12
-relative, as in the test suite.
+kernel runs in a fresh interpreter under the process policy its CLI sets
+(`cli._set_process_policy`, `cli._set_allocator_policy` before it, or none
+before that), once untimed to warm up and once timed, and the oracle once in
+this process; they must agree to 1e-12 relative, as in the test suite.
 
 With --baseline, the kernel of that git revision (exported with `git archive`
 into a temporary directory) is timed the same way on the same inputs, in the
 same rounds, for a before/after comparison.  The kernel's matrix products are
-small enough to stay on one BLAS thread.
+small enough to stay on one BLAS thread even where the policy leaves the pool
+alone.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ def kernel_sample(src: str, kmax: int, beta: float) -> tuple:
     import memwave.cli as cli
     from memwave import boundary_trace_energy
 
-    getattr(cli, "_set_allocator_policy", lambda: None)()  # as that revision's CLI runs ops
+    # as that revision's CLI runs ops
+    getattr(cli, "_set_process_policy", getattr(cli, "_set_allocator_policy", lambda: None))()
     expansion = expansion_for(kmax, beta)
     boundary_trace_energy(expansion, T)  # warm up, untimed
     return harness.timed(boundary_trace_energy, expansion, T)()

@@ -7,7 +7,20 @@ evaluates weighted lower bounds for finite exponential sums, recovers mode
 coefficients from initial data, and assembles the inverse observability
 verdict (boundary-trace energy vs weighted coefficient sum) with the
 proof-extracted constants c0, T0 and beta0.
+
+Importing the package before numpy loads defaults OPENBLAS_THREAD_TIMEOUT to 4
+in the environment, which child processes inherit: each idle thread of
+numpy's bundled OpenBLAS then busy-waits 2^4 cycles before it sleeps, not
+its default 2^28, which spent about a third of an import's CPU on a pool of
+two.  A value already set is kept.
 """
+
+import os as _os
+import sys as _sys
+
+if "numpy" not in _sys.modules:
+    _os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+del _os, _sys
 
 from .errors import (
     AuditFailure,

@@ -66,6 +66,11 @@ from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+try:
+    from numpy._core import _multiarray_umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath
+
 from .errors import (
     AuditFailure,
     CertificationFailure,
@@ -456,7 +461,7 @@ def _nearest_doubles(w, q) -> tuple:
 
 #: Bytes of whole lines parsed at a time, about 24000 tokens: the fastest in
 #: paired timings inside `observe` and `modes` ops (scripts/time_grid_read.py),
-#: whose temporaries `_set_allocator_policy` keeps mapped from block to block.
+#: whose temporaries `_set_process_policy` keeps mapped from block to block.
 _GRID_BLOCK = 1 << 19
 
 
@@ -878,29 +883,49 @@ _PARSER = _build_parser()
 #: glibc's `mallopt` parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
+#: The BLAS pool setters, of numpy's bundled OpenBLAS and of a plain OpenBLAS.
+_BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _blas_function(names: Sequence[str]):
+    """The first function of `names` that numpy's BLAS exports, or None.  It is
+    looked up on the handle of numpy's core extension, whose dependencies
+    `dlsym` searches, the BLAS among them."""
+    library = ctypes.CDLL(_multiarray_umath.__file__)
+    return next((getattr(library, name) for name in names if hasattr(library, name)), None)
+
 
 @cache
-def _set_allocator_policy() -> None:
-    """Keep freed memory for the next op, once per process: glibc serves
-    blocks of up to 32 MiB, its 64-bit ceiling, from the heap instead of
-    mapping each afresh, and hands a free heap top back to the kernel only
-    from 128 MiB on.  By default each numpy temporary of 128 KiB or more is
-    unmapped, or trimmed, when freed, so the next one page-faults its memory
-    in again; every temporary of a kmax <= 512 op (at most the DST's
-    1025 x 2052 doubles and a 1025^2 grid's bytes, about 24 MB) now stays in
-    the heap.  A C library without `mallopt` keeps its own policy."""
+def _set_process_policy() -> None:
+    """Set the policy of the process, once: keep freed memory for the next op,
+    and run BLAS on one thread.
+
+    glibc serves blocks of up to 32 MiB, its 64-bit ceiling, from the heap
+    instead of mapping each afresh, and hands a free heap top back to the
+    kernel only from 128 MiB on.  By default each numpy temporary of 128 KiB
+    or more is unmapped, or trimmed, when freed, so the next one page-faults
+    its memory in again; every temporary of a kmax <= 512 op (at most the
+    DST's 1025 x 2052 doubles and a 1025^2 grid's bytes, about 24 MB) now
+    stays in the heap.  A C library without `mallopt` keeps its own policy.
+
+    The BLAS pool is pinned to one thread, so a product's bits do not depend
+    on the pool the user asked for and no idle worker spins after a product it
+    split.  A BLAS with neither setter of `_BLAS_SET_THREADS` is left alone."""
     mallopt = getattr(ctypes.CDLL(None) if os.name == "posix" else None, "mallopt", None)
-    if mallopt is None:
-        return
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 128 << 20)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 128 << 20)
+    set_threads = _blas_function(_BLAS_SET_THREADS)
+    if set_threads is not None:
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
 
 
 def parse_and_dispatch(argv) -> int:
     """Run one CLI invocation; returns the process exit status.  The first
-    sets the allocator policy of the process (`_set_allocator_policy`)."""
-    _set_allocator_policy()
+    sets the policy of the process (`_set_process_policy`)."""
+    _set_process_policy()
     try:
         args = _PARSER.parse_args(list(argv))
     except SystemExit as exc:

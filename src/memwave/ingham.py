@@ -39,7 +39,8 @@ K = 1/(p_a + q_b) with coefficient vectors.  K is evaluated in tiles of a
 fixed number of entries, several sets or a few rows at a time, so memory is
 O(kmax^2) and no Gram matrix is ever built; each tile is multiplied by the
 stacked coefficients of every signal on its exponents in one BLAS product,
-small enough to run on one thread.  `pairwise_exponential_energy`, the dense
+small enough to run on one thread of a library caller's pool (the command
+line pins its pool to one thread).  `pairwise_exponential_energy`, the dense
 pairwise sum of the same integrals, is the test suite's slow oracle of the
 kernel; no computation of the package uses it.
 """
@@ -90,8 +91,11 @@ _GRAM_CUTOFF = 1e-3
 #: tile stays in a 2 MiB per-core L2 cache.  One set's part of a tile is at
 #: most a quarter of it, 2**14 entries, so that its product with the set's
 #: four coefficient columns stays on one BLAS thread: from about 2**15 entries
-#: on, OpenBLAS splits it over two threads, which doubles its CPU time for no
-#: gain in wall time.
+#: on, OpenBLAS splits it over the pool's threads, whose idle busy-wait cost
+#: CPU for no gain in wall time (about double, under OpenBLAS's default
+#: OPENBLAS_THREAD_TIMEOUT).  The command line pins its pool to one thread
+#: (`cli._set_process_policy`); the rule remains for library callers with a
+#: larger pool, where it also keeps the bits independent of the pool.
 _TILE_ENTRIES = 2**16
 
 #: Rounding slack used when checking the exact family hypotheses.

@@ -114,8 +114,19 @@ def test_page_fault_bench_shows_the_allocator_policy():
     rows = {(row["op"], row["setting"]): row
             for row in json.loads((ROOT / "BENCH_page_faults.json").read_text())["rows"]}
     for op, most in (("observe", 50), ("modes", 100)):
-        policy, default = rows[op, "policy"], rows[op, "glibc_default"]
+        policy, default = rows[op, "policy"], rows[op, "no_policy"]
         assert policy["steady_op_faults"] <= min(most, default["steady_op_faults"])
         assert policy["first_op_faults"] < default["first_op_faults"]
     # with glibc's defaults every observe op faults its large temporaries in afresh
-    assert rows["observe", "glibc_default"]["steady_op_faults"] > 1000
+    assert rows["observe", "no_policy"]["steady_op_faults"] > 1000
+
+
+def test_import_bench_shows_the_blas_policy():
+    # on a pool of more than one thread, OpenBLAS's default busy-wait costs CPU at import
+    bench = json.loads((ROOT / "BENCH_import.json").read_text())
+    assert bench["host"]["blas_threads"] > 1
+    assert bench["host"]["blas_thread_timeout"] == "4"
+    cli = {json.dumps(row["env"]): row["cpu_s"]["median"]
+           for row in bench["rows"] if row["statement"] == "import memwave.cli"}
+    assert set(cli) == {"{}", '{"OPENBLAS_THREAD_TIMEOUT": "28"}'}
+    assert cli["{}"] < cli['{"OPENBLAS_THREAD_TIMEOUT": "28"}']
