@@ -66,9 +66,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-try:
+if int(np.__version__.split(".")[0]) >= 2:
     from numpy._core import _multiarray_umath
-except ImportError:  # numpy < 2
+else:  # numpy 1.26's numpy._core holds Python shims, not the extension
     from numpy.core import _multiarray_umath
 
 from .errors import (
@@ -890,8 +890,12 @@ _BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_thre
 def _blas_function(names: Sequence[str]):
     """The first function of `names` that numpy's BLAS exports, or None.  It is
     looked up on the handle of numpy's core extension, whose dependencies
-    `dlsym` searches, the BLAS among them."""
-    library = ctypes.CDLL(_multiarray_umath.__file__)
+    `dlsym` searches, the BLAS among them; an extension that has no file or
+    cannot be loaded by its path exports none."""
+    try:
+        library = ctypes.CDLL(_multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
     return next((getattr(library, name) for name in names if hasattr(library, name)), None)
 
 

@@ -54,6 +54,24 @@ else:
     print(pools + [get()])
 """
 
+#: Runs one `spectrum` op with numpy's core extension replaced by a module
+#: whose file is no shared library, as where the extension cannot be loaded
+#: by its path: prints the op's exit status and the BLAS pool before and after.
+UNLOADABLE = """
+import ctypes, types
+import memwave.cli as cli
+
+get = cli._blas_function(("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"))
+cli._multiarray_umath = types.SimpleNamespace(__file__=cli.__file__)
+assert cli._blas_function(cli._BLAS_SET_THREADS) is None
+status = cli.parse_and_dispatch(["spectrum", "--beta", "0.4", "--eta", "0.6", "--kmax", "3"])
+if get is None:
+    print([status])
+else:
+    get.argtypes, get.restype = [], ctypes.c_int
+    print([status, get()])
+"""
+
 SRC = str(Path(memwave.__file__).resolve().parents[1])
 
 
@@ -103,3 +121,9 @@ def test_observe_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert written["1"] == written["2"]
     for name, _ in cases:
         assert written["1"][name] == (GOLDEN / f"{name}.out").read_bytes(), name
+
+
+def test_cli_runs_where_the_blas_setter_cannot_be_looked_up():
+    # the op exits 0 and, where a getter is found, the pool is left as it was
+    status = json.loads(run_fresh(UNLOADABLE, OPENBLAS_NUM_THREADS="2").splitlines()[-1])
+    assert status in ([0], [0, 2])
