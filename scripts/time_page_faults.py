@@ -1,5 +1,5 @@
 """Count the page faults and CPU time of the benchmark's ops with and without the
-CLI's process policy; write BENCH_page_faults.json.
+allocator settings of the CLI's process policy; write BENCH_page_faults.json.
 
     python3 scripts/time_page_faults.py
 
@@ -10,8 +10,9 @@ fresh interpreters as the benchmark runs them: each input once, then ROUNDS
 more rounds of the three.  Half of the interpreters run under the process
 policy `cli.parse_and_dispatch` sets (`cli._set_process_policy`: the allocator
 thresholds and one BLAS thread); the other half stub it out before their first
-op and keep glibc's allocator defaults and the harness's BLAS pool.  The two
-settings take turns, CHILDREN interpreters each.
+op and keep glibc's allocator defaults, with a BLAS pool of one thread from
+the start (`ENV`): the bits of the sine coefficients' products depend on the
+pool.  The two settings take turns, CHILDREN interpreters each.
 
 Recorded per op and setting, as medians over the interpreters (the first op)
 or over every op after the first round (the steady state): the minor page
@@ -39,6 +40,8 @@ ROUNDS = {"observe": 10, "modes": 3}
 CHILDREN = 5
 SEED = 907
 SETTINGS = ("policy", "no_policy")
+#: The environment each setting adds to a child's.
+ENV = {"policy": {}, "no_policy": {"OPENBLAS_NUM_THREADS": "1"}}
 
 #: Runs the ops of argv[2] (a JSON list of argv lists) once, then argv[1] more
 #: rounds, with the process policy stubbed out when argv[3] is "no_policy";
@@ -81,7 +84,8 @@ def measure(name: str, argvs: list) -> list:
     peaks = {setting: [] for setting in SETTINGS}
     for i in range(CHILDREN):
         for setting in SETTINGS[i % 2:] + SETTINGS[:i % 2]:
-            child = harness.child(OP_CHILD, str(ROUNDS[name]), json.dumps(argvs), setting)
+            child = harness.child(OP_CHILD, str(ROUNDS[name]), json.dumps(argvs), setting,
+                                  env=ENV[setting])
             runs[setting].append(json.loads(child.stdout))
             peaks[setting].append(child.vmhwm_mb)
         digests = [[sample[3] for sample in runs[setting][-1]] for setting in SETTINGS]
@@ -112,7 +116,8 @@ def main() -> None:
                 "interpreter, for the benchmark's observe --kmax 64 and modes --kmax 192 ops "
                 "in fresh interpreters, under the CLI's process policy (mallopt "
                 "M_MMAP_THRESHOLD 32 MiB, M_TRIM_THRESHOLD 128 MiB; one BLAS thread) and "
-                "with none (glibc's defaults, the harness's BLAS pool); first_op: median "
+                "without its allocator settings (glibc's defaults, a pool of one BLAS "
+                "thread); first_op: median "
                 "over interpreters of the first op, steady_op: median over every op after "
                 "the first round",
         "inputs": f"three band-limited inputs per op (harness.write_ops), seed {SEED}",

@@ -19,12 +19,14 @@ conjugate-symmetric: C is the coefficient of e^{i omega t}, and R is real and
 computed in real arithmetic.
 
 Initial data enters as sine coefficients, extracted exactly from uniform-grid
-samples by a type-I discrete sine transform.
+samples by a type-I discrete sine transform, computed as two matrix products
+with a cached table of sines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -126,10 +128,14 @@ def sine_coefficients(values, kmax: int) -> np.ndarray:
     `values[i, j]` holds the sample at (x_{i+1}, y_{j+1}) with x_i = i*pi/(M+1)
     on an M x M grid, M >= 2*kmax + 1.  The type-I DST quadrature is exact for
     sine polynomials of degree <= M, so coefficients of band-limited data come
-    out to rounding error.  The 2-D transform is `_dst1`, the rfft
-    odd-extension DST-I, along axis 0, then along axis 1 on the kmax rows
-    kept.  In that order the result equals `dstn(values, type=1)[:kmax, :kmax]`
-    bit for bit; the reverse order differs in the last bits.
+    out to rounding error.  The transform is S @ values @ S.T / ((M+1)^2 / 4)
+    with the kmax x M sine table S of `_sine_table`: two BLAS products and one
+    correctly rounded division, whose rounding error is bounded by
+    gamma_{2M+1} |S| |values| |S|^T (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 3) plus the table's own error;
+    `tests/conftest.py::sine_coefficient_bound` states the bound, and the
+    tests hold the result to it.  The last bits depend on the BLAS kernel and
+    its thread count; the command line pins one thread.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
@@ -142,20 +148,24 @@ def sine_coefficients(values, kmax: int) -> np.ndarray:
             f"grid of {m} points per direction cannot resolve kmax={kmax}; "
             f"need at least {2 * kmax + 1}"
         )
-    rows = _dst1(values.T)[:, :kmax].T
-    return _dst1(rows)[:, :kmax] / (m + 1) ** 2
+    sines = _sine_table(m, kmax)
+    return sines @ values @ sines.T / ((m + 1) ** 2 / 4)  # an exact divisor
 
 
-def _dst1(x: np.ndarray) -> np.ndarray:
-    """Unnormalised type-I DST along the last axis of x (length M):
-    y_k = 2 * sum_n x_n sin(pi (k+1)(n+1) / (M+1)), the convention of
-    `dst(type=1)`.  The odd extension [0, x, 0, -reversed x] of length
-    2(M+1) has a real FFT whose bins 1..M are -i*y."""
-    m = x.shape[-1]
-    ext = np.zeros(x.shape[:-1] + (2 * (m + 1),))
-    ext[..., 1:m + 1] = x
-    ext[..., m + 2:] = -x[..., ::-1]
-    return -np.fft.rfft(ext)[..., 1:m + 1].imag
+@lru_cache(maxsize=1)
+def _sine_table(m: int, kmax: int) -> np.ndarray:
+    """The read-only kmax x M table S[k-1, n-1] = sin(pi j / (M+1)), j = k*n mod
+    2(M+1).  The last one made is kept, so both grids of an op and the later
+    ops of the same sizes share it.  The argument is folded into [0, pi/2]
+    exactly, in integers: sin(pi j/(M+1)) is odd about j = M+1 and even about
+    j = (M+1)/2."""
+    k = np.arange(1, kmax + 1)
+    j = np.outer(k, np.arange(1, m + 1)) % (2 * (m + 1))
+    folded = j % (m + 1)
+    table = np.sin(np.pi * np.minimum(folded, m + 1 - folded) / (m + 1))
+    np.negative(table, out=table, where=j > m + 1)
+    table.flags.writeable = False
+    return table
 
 
 def _solve_coefficients(z1, r, a, b, lam):

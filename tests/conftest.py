@@ -22,6 +22,7 @@ from memwave import (
     Violation,
     pairwise_exponential_energy,
 )
+from memwave.modes import _sine_table
 
 
 def random_admissible_family(rng, n=None, T=None, real_frequencies=False,
@@ -369,6 +370,85 @@ def mode_ode_oracle(beta, eta, lam, a, b, ts):
                     t_eval=ts, method="DOP853", rtol=1e-12, atol=1e-14)
     assert sol.success
     return sol.y[0]
+
+
+#: The unit roundoff of binary64.
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def gamma_n(n):
+    """Higham's gamma_n = n u / (1 - n u): the relative error of n roundings."""
+    return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
+
+
+#: The largest relative error of an entry of `modes._sine_table`,
+#: sin(pi j' / (M+1)) with j' <= (M+1)/2 folded exactly in integers.  The
+#: argument fl(fl(pi~ j') / (M+1)), x in [0, pi/2], carries three roundings,
+#: pi~ = np.pi's own among them, so it moves by at most gamma_3 x <=
+#: gamma_3 (pi/2) sin x, and sin by no more than its argument; `np.sin` is
+#: assumed within 1 ulp of the sine of its argument, at most 2u of it.
+SINE_TABLE_ERROR = (2.0 * UNIT_ROUNDOFF * (1.0 + gamma_n(3) * math.pi / 2.0)
+                    + gamma_n(3) * math.pi / 2.0)
+
+
+def sine_coefficient_bound(values, kmax):
+    """A bound on |sine_coefficients(values, kmax) - c| entry by entry, c the
+    exact DST-I coefficients 4/(M+1)^2 S x S^T of the float samples x.
+
+    With A = |S~| the computed table and P~ = fl(fl(S~ x) S~^T), Higham's
+    inner-product bound (Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., 2002, ch. 3) gives |P~ - S~ x S~^T| <= gamma_{2M} A|x|A^T whatever
+    order or blocking the BLAS sums in.  The table's entries are within
+    e = SINE_TABLE_ERROR of the exact |S|, so |S| <= A / (1 - e) and
+    |S~ x S~^T - S x S^T| <= (2e' + e'^2) A|x|A^T with e' = e / (1 - e).  The
+    division by the exact (M+1)^2 / 4 rounds once more, by at most
+    u |P~| <= u (1 + gamma_{2M}) A|x|A^T, so
+
+        |c~ - c| <= 4/(M+1)^2 (gamma_{2M+1} + 2e' + e'^2) A|x|A^T.
+
+    The bound is evaluated in floats, all its terms nonnegative; the factor
+    1 + 1e-12 covers that evaluation's own rounding (below gamma_{2M+4}, under
+    5e-13 for M <= 1025)."""
+    x = np.abs(np.asarray(values, dtype=float))
+    m = x.shape[0]
+    a = np.abs(_sine_table(m, kmax))
+    e = SINE_TABLE_ERROR / (1.0 - SINE_TABLE_ERROR)
+    factor = (gamma_n(2 * m + 1) + 2.0 * e + e * e) * (4.0 / (m + 1) ** 2) * (1.0 + 1e-12)
+    return factor * (a @ x @ a.T)
+
+
+def exact_sine_coefficients(values, kmax):
+    """The DST-I coefficients (4/(M+1)^2) sum_{n, n'} sin(k1 n pi/(M+1))
+    x[n-1, n'-1] sin(k2 n' pi/(M+1)) of the float samples x, to 50 digits in
+    mpmath, as a kmax x kmax list of lists of mpf: the slow oracle of
+    `sine_coefficients` at small M."""
+    m = len(values)
+    with mpmath.workdps(50):
+        sines = [[mpmath.sinpi(mpmath.mpf(k * n) / (m + 1)) for n in range(1, m + 1)]
+                 for k in range(1, kmax + 1)]
+        x = [[mpmath.mpf(float(v)) for v in row] for row in np.asarray(values, dtype=float)]
+        rows = [[mpmath.fsum(s[n] * x[n][j] for n in range(m)) for j in range(m)]
+                for s in sines]
+        scale = mpmath.mpf(4) / (m + 1) ** 2
+        return [[scale * mpmath.fsum(row[j] * s[j] for j in range(m)) for s in sines]
+                for row in rows]
+
+
+def fft_sine_coefficients(values, kmax):
+    """Oracle of `sine_coefficients` by FFT: the DST-I of the odd extension
+    [0, x, 0, -reversed x] of length 2(M+1) along axis 0, then along axis 1
+    on the kmax rows kept, divided by (M+1)^2; equal bit for bit to
+    `scipy.fft.dstn(values, type=1)[:kmax, :kmax] / (M+1)**2`."""
+    def dst1(x):
+        m = x.shape[-1]
+        ext = np.zeros(x.shape[:-1] + (2 * (m + 1),))
+        ext[..., 1:m + 1] = x
+        ext[..., m + 2:] = -x[..., ::-1]
+        return -np.fft.rfft(ext)[..., 1:m + 1].imag
+
+    values = np.asarray(values, dtype=float)
+    rows = dst1(values.T)[:, :kmax].T
+    return dst1(rows)[:, :kmax] / (values.shape[0] + 1) ** 2
 
 
 def sine_polynomial_on_grid(coeffs, m):

@@ -3,11 +3,16 @@
 Importing `memwave` before numpy loads defaults OPENBLAS_THREAD_TIMEOUT to 4,
 and the first `parse_and_dispatch` pins the BLAS pool to one thread.  A
 library caller keeps the pool it asked for: the trace energy's matrix
-products are small enough to stay on one BLAS thread whatever the pool size.
-Each run below is a fresh interpreter with OPENBLAS_NUM_THREADS fixed before
-numpy loads: it computes the trace energy of a kmax 160 expansion as a
-library caller, under that pool, then writes every `observe` golden case
-through the CLI, and the bytes must not depend on the thread count.
+products are small enough to stay on one BLAS thread whatever the pool size,
+but the sine coefficients' products of a large grid are split, and their
+last bits may then depend on the pool.  Each run below is a fresh interpreter
+with OPENBLAS_NUM_THREADS fixed before numpy loads: as a library caller,
+under that pool, it computes the sine coefficients of a kmax 160 grid and the
+trace energy of a kmax 160 expansion; it then writes every `observe` and
+`modes` golden case through the CLI, and computes the sine coefficients again
+under the pinned pool.  The CLI's bytes must not depend on the thread count,
+and the coefficients under either pool must lie within
+`sine_coefficient_bound` of the pinned ones.
 """
 
 import json
@@ -16,9 +21,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import memwave
+from conftest import sine_coefficient_bound
 from test_golden import CASES, GOLDEN
 
 SCRIPT = """
@@ -27,15 +34,18 @@ from pathlib import Path
 
 import numpy as np
 import memwave.cli
-from memwave import InitialData, KernelParams, boundary_trace_energy, expand
+from memwave import InitialData, KernelParams, boundary_trace_energy, expand, sine_coefficients
 
 cases, out = json.loads(sys.argv[1]), Path(sys.argv[2])
 rng = np.random.default_rng(160)
+np.save(out / "grid.npy", rng.normal(size=(321, 321)))
+np.save(out / "pool.npy", sine_coefficients(np.load(out / "grid.npy"), 160))
 data = InitialData(a=rng.normal(size=(160, 160)), b=rng.normal(size=(160, 160)), kmax=160)
 energy = boundary_trace_energy(expand(KernelParams.limiting_regime(0.01), data), 50.0)
 (out / "energy").write_text(energy.hex())
 for name, argv in cases:  # the first pins the pool to one thread
     assert memwave.cli.parse_and_dispatch(argv + ["--output", str(out / name)]) == 0, name
+np.save(out / "pinned.npy", sine_coefficients(np.load(out / "grid.npy"), 160))
 """
 
 #: Prints the BLAS pool after `import memwave.cli` and after one
@@ -107,9 +117,9 @@ def test_cli_pins_the_blas_pool_to_one_thread():
 
 def test_observe_bytes_do_not_depend_on_blas_threads(tmp_path):
     cases = [[name, [arg.format(dir=GOLDEN) for arg in argv]]
-             for name, argv in sorted(CASES.items()) if argv[0] == "observe"]
-    assert len(cases) >= 3
-    written = {}
+             for name, argv in sorted(CASES.items()) if argv[0] in ("observe", "modes")]
+    assert len(cases) >= 4 and "modes" in dict(cases)
+    written, coefficients = {}, {}
     for threads in ("1", "2"):
         out = tmp_path / threads
         out.mkdir()
@@ -117,10 +127,17 @@ def test_observe_bytes_do_not_depend_on_blas_threads(tmp_path):
         result = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(cases), str(out)],
                                 env=env, capture_output=True, text=True, timeout=300)
         assert result.returncode == 0, result.stderr
-        written[threads] = {path.name: path.read_bytes() for path in out.iterdir()}
+        coefficients[threads] = {name: np.load(out / f"{name}.npy")
+                                 for name in ("grid", "pool", "pinned")}
+        written[threads] = {path.name: path.read_bytes() for path in out.iterdir()
+                            if path.suffix != ".npy"}
     assert written["1"] == written["2"]
     for name, _ in cases:
         assert written["1"][name] == (GOLDEN / f"{name}.out").read_bytes(), name
+    bound = sine_coefficient_bound(coefficients["1"]["grid"], 160)
+    for threads, arrays in coefficients.items():
+        assert np.array_equal(arrays["pinned"], coefficients["1"]["pinned"]), threads
+        assert np.all(np.abs(arrays["pool"] - arrays["pinned"]) <= bound), threads
 
 
 def test_cli_runs_where_the_blas_setter_cannot_be_looked_up():

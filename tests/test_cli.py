@@ -646,11 +646,13 @@ class TestModesCommand:
 
 
 def write_grids_with(tmp_path, flag, row, col, token, m=5):
-    """write_grids on an m x m grid, with one sample of the `flag` grid spelled `token`."""
+    """write_grids on an m x m grid, with one sample of the `flag` grid spelled
+    `token`, or every sample of its row when `col` is None."""
     grids = dict(zip(("u0", "u1"), write_grids(tmp_path, m=m)))
     lines = Path(grids[flag]).read_text().splitlines()
     cells = lines[row].split(",")
-    cells[col] = token
+    for i in range(len(cells)) if col is None else [col]:
+        cells[i] = token
     lines[row] = ",".join(cells)
     Path(grids[flag]).write_text("\n".join(lines) + "\n")
     return grids
@@ -677,11 +679,30 @@ class TestGridSamples:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("flag", ["u0", "u1"])
     def test_overflowing_coefficients_name_flag_and_path(self, flag, tmp_path, capsys):
-        grids = write_grids_with(tmp_path, flag, 1, 1, "1e308")
+        # a row of 1e308 sums past the largest double in the first product
+        grids = write_grids_with(tmp_path, flag, 1, None, "1e308")
         for argv in BOTH_COMMANDS:
             status, out, err = run(argv + ["--u0", grids["u0"], "--u1", grids["u1"]], capsys)
             assert status == 2 and not out
             assert err == f"error: {flag}: the sine coefficients of {grids[flag]} overflow\n"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flag", ["u0", "u1"])
+    def test_one_sample_of_1e308_has_finite_coefficients(self, flag, tmp_path, capsys):
+        # no partial sum of the products passes the largest double: modes
+        # succeeds, and observe stops where its two sides, quadratic in the
+        # data, overflow
+        grids = write_grids_with(tmp_path, flag, 1, 1, "1e308")
+        modes, observe = (argv + ["--u0", grids["u0"], "--u1", grids["u1"]]
+                          for argv in BOTH_COMMANDS)
+        status, out, err = run(modes, capsys)
+        assert (status, err) == (0, "")
+        records = json.loads(out)
+        assert len(records) == 4
+        assert all(math.isfinite(value) for record in records for value in record.values())
+        status, out, err = run(observe, capsys)
+        assert status == 2 and not out
+        assert err.startswith("error: initial data: ") and err.count("\n") == 1
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("flag", ["u0", "u1"])

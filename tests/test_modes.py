@@ -2,15 +2,20 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.fft import dstn
 
 from conftest import (
+    SINE_TABLE_ERROR,
     coefficient_errors,
+    exact_sine_coefficients,
+    fft_sine_coefficients,
     lagrange_coefficients,
     lu_coefficients,
     mode_ode_oracle,
+    sine_coefficient_bound,
     sine_polynomial_on_grid,
 )
 from memwave import (
@@ -35,6 +40,17 @@ from memwave import (
     sine_coefficients,
     solve_mode_coefficients,
 )
+from memwave.modes import _sine_table
+
+
+def within_the_bound(coefficients, values, kmax):
+    """Whether every coefficient lies within `sine_coefficient_bound` of the
+    50-digit DST of the samples, the difference taken in mpmath."""
+    exact = exact_sine_coefficients(values, kmax)
+    bound = sine_coefficient_bound(values, kmax)
+    with mpmath.workdps(50):
+        return all(abs(mpmath.mpf(c) - exact[i][j]) <= bound[i, j]
+                   for (i, j), c in np.ndenumerate(coefficients))
 
 
 def interior_grid(m):
@@ -72,12 +88,70 @@ class TestSineCoefficients:
         coeffs = sine_coefficients(values, kmax)
         assert np.max(np.abs(coeffs - target)) < 1e-12
 
+    @pytest.mark.parametrize("m", [3, 5, 9, 13, 17, 129, 130, 321, 385, 1025])
+    def test_sine_table_entries_within_their_error(self, m):
+        # every entry of the widest table a grid of M points allows (a smaller
+        # kmax takes its first rows, computed alike) against 50-digit sines:
+        # entries of one j = k*n mod 2(M+1) are one float, within a relative
+        # SINE_TABLE_ERROR of sin(pi j / (M+1)), and exactly 0 where that is
+        kmax = (m - 1) // 2
+        table = _sine_table(m, kmax)
+        j = np.outer(np.arange(1, kmax + 1), np.arange(1, m + 1)) % (2 * (m + 1))
+        distinct, first, where = np.unique(j, return_index=True, return_inverse=True)
+        values = table.ravel()[first]
+        assert np.array_equal(table, values[where.reshape(j.shape)])
+        with mpmath.workdps(50):
+            for jj, value in zip(distinct.tolist(), values.tolist()):
+                exact = mpmath.sinpi(mpmath.mpf(jj) / (m + 1))
+                assert abs(mpmath.mpf(value) - exact) <= SINE_TABLE_ERROR * abs(exact), (m, jj)
+
+    def test_sine_table_is_made_once_and_read_only(self):
+        first = _sine_table(65, 32)
+        assert _sine_table(65, 32) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 0.0
+
+    @pytest.mark.parametrize("m", [3, 5, 9, 17])
+    def test_within_the_bound_of_a_50_digit_dst(self, m):
+        values = np.random.default_rng(m).normal(size=(m, m))
+        for kmax in (1, (m - 1) // 2):
+            assert within_the_bound(sine_coefficients(values, kmax), values, kmax), kmax
+
     @pytest.mark.parametrize("m", [3, 5, 9, 129, 130, 385, 1025])
     def test_matches_scipy_dstn_bit_for_bit(self, m):
+        # the FFT route, kept as the oracle `fft_sine_coefficients`, gives
+        # scipy's bits; the products lie within their bound of them (each route
+        # is within its own bound of the exact DST, so the two may differ by
+        # the sum of both bounds: the products' bound alone is tighter)
         values = np.random.default_rng(m).normal(size=(m, m))
         full = dstn(values, type=1) / (m + 1) ** 2
         for kmax in (1, (m - 1) // 2):
-            assert np.array_equal(sine_coefficients(values, kmax), full[:kmax, :kmax]), kmax
+            assert np.array_equal(fft_sine_coefficients(values, kmax), full[:kmax, :kmax]), kmax
+            difference = np.abs(sine_coefficients(values, kmax) - full[:kmax, :kmax])
+            assert np.all(difference <= sine_coefficient_bound(values, kmax)), kmax
+
+    def test_planted_error_of_twice_the_bound_fails(self):
+        m, kmax = 17, 8
+        values = np.random.default_rng(m).normal(size=(m, m))
+        coefficients = sine_coefficients(values, kmax)
+        bound = sine_coefficient_bound(values, kmax)
+        assert within_the_bound(coefficients, values, kmax)
+        for i, j in ((0, 0), (3, 5), (7, 7)):
+            planted = coefficients.copy()
+            planted[i, j] += 2.0 * bound[i, j]
+            assert not within_the_bound(planted, values, kmax), (i, j)
+        full = dstn(values, type=1)[:kmax, :kmax] / (m + 1) ** 2
+        assert not np.all(np.abs(coefficients - 2.0 * bound - full) <= bound)
+
+    def test_no_fft(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.fft called")
+
+        for name in np.fft.__all__:
+            monkeypatch.setattr(np.fft, name, refuse)
+        values = np.random.default_rng(7).normal(size=(33, 33))
+        assert within_the_bound(sine_coefficients(values, 16), values, 16)
 
     def test_grid_too_coarse(self):
         with pytest.raises(GridTooCoarse):

@@ -130,3 +130,13 @@ def test_import_bench_shows_the_blas_policy():
            for row in bench["rows"] if row["statement"] == "import memwave.cli"}
     assert set(cli) == {"{}", '{"OPENBLAS_THREAD_TIMEOUT": "28"}'}
     assert cli["{}"] < cli['{"OPENBLAS_THREAD_TIMEOUT": "28"}']
+
+
+def test_sine_coefficient_bench_shows_products_beat_the_fft():
+    # at the modes workload's kmax the FFT's length 4 * 193 has a prime factor
+    # of 193, and the two products beat it with the table made or cached
+    rows = {row["kmax"]: row
+            for row in json.loads((ROOT / "BENCH_sine_coefficients.json").read_text())["rows"]}
+    row = rows[192]
+    assert row["products_cpu_s"] < row["products_new_table_cpu_s"] < row["fft_cpu_s"]
+    assert all(each["max_difference_over_bound"] <= 1.0 for each in rows.values())
