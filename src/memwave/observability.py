@@ -14,8 +14,8 @@ verdict path) as a quadratic form in the closed-form Gram entries
 G_ab = integral_0^T e^{(s_a + s_b) t} dt = (e^{s_a T} e^{s_b T} - 1)/(s_a + s_b)
 of its exponents, written in the Cauchy form K_ab = 1/(s_a + s_b) (see
 ingham._real_signal_energies).  Row k and column k have the same exponents,
-so both forms of an index share each tile of K, evaluated in tiles of a
-fixed number of entries: O(kmax^2) memory, O(kmax^3) time in all.
+so both forms of an index share each tile of K, evaluated in tiles of at
+most a fixed number of entries: O(kmax^2) memory, O(kmax^3) time in all.
 
 The verdict compares this trace energy with
 

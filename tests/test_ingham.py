@@ -258,6 +258,25 @@ class TestEnergyIntegral:
             exact = pairwise_signal_energy(Cs[:, c], Rs[:, c], omegas, rs, T)
             assert abs(energies[0, c] - exact) <= 1e-12 * exact
 
+    def test_cutoff_tiles_in_ragged_row_chunks(self):
+        # every |r_a + r_b|*T is under the cutoff, so the whole Y^2 form comes
+        # from fallback tiles, here in a full and a ragged chunk of rows: each
+        # tile's square block must be weighted once, the columns right of it
+        # twice; the Y^2 part is almost all of each energy
+        import memwave.ingham as ingham
+
+        n, T = 20, 10.0
+        assert n % ingham._TILE_ROWS
+        rng = np.random.default_rng(4)
+        omegas = 1.0 + np.arange(n) + 0.1j
+        rs = 1e-9 * rng.random(n)
+        Cs = 0.1 * (rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2)))
+        Rs = rng.normal(size=(n, 2))
+        energies = ingham._real_signal_energies(omegas[None], rs[None], Cs[None], Rs[None], T)
+        for c in range(2):
+            exact = pairwise_signal_energy(Cs[:, c], Rs[:, c], omegas, rs, T)
+            assert abs(energies[0, c] - exact) <= 1e-12 * exact
+
     def test_against_quadrature(self):
         rng = np.random.default_rng(5)
         for _ in range(10):

@@ -288,36 +288,75 @@ class TestBoundaryTraceEnergy:
 
     @pytest.mark.parametrize("tile", [1, 40, 200, 700])
     def test_tiles_cover_every_row_once(self, tile, monkeypatch):
+        # a tile of rows a0 <= a < a1 has the 3n - 2*a0 columns b >= a0; it
+        # exceeds the tile size only as one row of one set, and one set's
+        # block exceeds a quarter of it only as one row
         import memwave.ingham as ingham
 
         monkeypatch.setattr(ingham, "_TILE_ENTRIES", tile)
-        for m, n in [(1, 1), (5, 2), (5, 4), (3, 13), (2, 16)]:
-            for cols in (n, 3 * n):
-                hits = np.zeros((m, n), dtype=int)
-                for sets, rows in ingham._tiles(m, n, cols):
-                    hits[sets, rows] += 1
-                    size = len(range(m)[sets]) * len(range(n)[rows]) * cols
-                    assert size <= max(tile, cols)
-                assert np.all(hits == 1)
+        for m, n in [(1, 1), (5, 2), (5, 4), (3, 13), (2, 16), (40, 7), (3, 40)]:
+            hits = np.zeros((m, n), dtype=int)
+            for sets, rows in ingham._tiles(m, n):
+                hits[sets, rows] += 1
+                g, h, cols = len(range(m)[sets]), len(range(n)[rows]), 3 * n - 2 * rows.start
+                assert g * h * cols <= max(tile, cols)
+                assert h * 3 * n <= max(tile // 4, 3 * n)
+            assert np.all(hits == 1)
+
+    def test_set_block_at_most_a_quarter_tile_up_to_the_cli_limit(self):
+        # 2**14 entries of one set keep a product on one thread of a BLAS pool
+        import memwave.ingham as ingham
+
+        assert ingham._TILE_ENTRIES // 4 == 2**14
+        for n in range(1, 513):
+            (_, rows), *_ = ingham._tiles(1, n)
+            assert len(range(n)[rows]) * 3 * n <= 2**14
 
     @pytest.mark.parametrize("beta", [0.0, 1e-6, 0.01, BETA_MAX])
     @pytest.mark.parametrize("tile", [1, 40, 200, 700])
     def test_small_tiles_match_pairwise_oracle(self, tile, beta, monkeypatch):
         # tiles of a few entries: with kmax <= 16 the trace energy runs through
-        # tiles of several sets, tiles of a few rows, and ragged last tiles
+        # tiles of several sets, several chunks of rows, ragged last chunks
+        # and chunks taller than the set
         import memwave.ingham as ingham
 
         monkeypatch.setattr(ingham, "_TILE_ENTRIES", tile)
-        shapes = {(len(range(kmax)[sets]) > 1, len(range(kmax)[rows]) < kmax)
-                  for kmax in (1, 2, 5, 13, 16)
-                  for sets, rows in ingham._tiles(kmax, kmax, 3 * kmax)}
+        shapes = set()
+        for kmax in (1, 2, 5, 13, 16):
+            tiles = ingham._tiles(kmax, kmax)
+            height = tiles[0][1].stop
+            if any(len(range(kmax)[sets]) > 1 for sets, _ in tiles):
+                shapes.add("several sets")
+            if tiles[-1][1].start > 0:
+                shapes.add("several chunks")
+            if kmax % height and height < kmax:
+                shapes.add("ragged last chunk")
+            if height > kmax:
+                shapes.add("chunk taller than the set")
         if tile == 200:
-            assert shapes == {(True, False), (False, False), (False, True)}
+            assert shapes == {"several sets", "several chunks", "ragged last chunk",
+                              "chunk taller than the set"}
         for kmax in (1, 2, 5, 13, 16):
             rng = np.random.default_rng(kmax)
             expansion = expand(KernelParams.limiting_regime(beta), random_data(rng, kmax))
             oracle = pairwise_trace_energy(expansion, 50.0)
             assert abs(boundary_trace_energy(expansion, 50.0) - oracle) <= 1e-12 * oracle
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-6, 0.01, BETA_MAX])
+    @pytest.mark.parametrize("kmax", [40, 100])
+    def test_ragged_row_chunks_match_pairwise_oracle(self, kmax, beta):
+        # kmax not a multiple of the 16-row chunk: a ragged last chunk at the
+        # kernel's own tile size.  beta 0 and 1e-6 put the Y^2 tiles under the
+        # cutoff, in their fallback tiles; their part of the energy is below
+        # the 1e-12 tolerance, so the halving of a fallback tile's square block
+        # is pinned by test_ingham's test_cutoff_tiles_in_ragged_row_chunks
+        import memwave.ingham as ingham
+
+        assert kmax % ingham._TILE_ROWS
+        rng = np.random.default_rng(kmax)
+        expansion = expand(KernelParams.limiting_regime(beta), random_data(rng, kmax))
+        oracle = pairwise_trace_energy(expansion, 50.0)
+        assert abs(boundary_trace_energy(expansion, 50.0) - oracle) <= 1e-12 * oracle
 
     def test_additivity_on_disjoint_rows_and_columns(self):
         # supports {(1,1)} and {(2,2)} share no row and no column
