@@ -20,10 +20,13 @@ numbers.  Every number is spelled `"%.17g" % v`: integers in full, floats
 round-trip exact, repeated runs byte-identical.  Non-finite numbers are
 NaN/Infinity/-Infinity in JSON and nan/inf/-inf in CSV.  A report float must be
 finite, except T0 = Infinity when infeasible; otherwise the run exits 1.
-Tables are spelled by numpy: each column's distinct numbers once, with
-1e-11 < |v| < 1e17 by exact integer arithmetic (`_spell`) and the rest (zeros,
-subnormals, other magnitudes, the non-finite) by the `%` operator, then the
-rows are laid out as byte matrices; the text is the same as `%` row by row.
+Tables are spelled by numpy: each column's distinct numbers once where the
+column is given as (values, index) (the per-mode tables' k1 and k2, and their
+columns that depend on a mode only through its eigenvalue), the others row by
+row, with 1e-11 < |v| < 1e17 by exact integer arithmetic (`_spell`) and the
+rest (zeros, subnormals, other magnitudes, the non-finite) by the `%`
+operator, then the rows are laid out as byte matrices; the text is the same as
+`%` row by row.
 
 Sample grids are read by `_read_grid`, the speller's inverse, when plain:
 lines of comma-separated numbers [+-]?d*(.d*)?([eE][+-]?d{1,3})? of 1 to 24
@@ -82,7 +85,7 @@ from .gap_analysis import audit_gaps
 from .ingham import ExponentFamily, _certify_bound, check_hypotheses, energy_lower_bound
 from .modes import InitialData, expand, sine_coefficients
 from .observability import ObservabilityConfig, _thresholds, constant_S, verify_observability
-from .spectrum import BETA_MAX, KernelParams, _vieta_residuals, mode_spectrum
+from .spectrum import BETA_MAX, KernelParams, _lattice, _vieta_residuals, mode_spectrum
 
 __all__ = ["load_config", "parse_and_dispatch", "main"]
 
@@ -213,10 +216,16 @@ def _exact_cells(x: np.ndarray) -> tuple:
     carry = scaled == 10**17
     scaled[carry] = 10**16
     exponent += carry
-    high8, low8 = np.divmod(scaled, np.uint64(10**8))
-    lead, high8 = np.divmod(high8.astype(np.uint32), np.uint32(10**8))
-    groups = (*np.divmod(high8, np.uint32(10**4)),
-              *np.divmod(low8.astype(np.uint32), np.uint32(10**4)))
+    # `//` by a constant takes numpy's libdivide path, which `np.divmod` misses
+    high8 = scaled // np.uint64(10**8)
+    low8 = (scaled - high8 * np.uint64(10**8)).astype(np.uint32)
+    high8 = high8.astype(np.uint32)
+    lead = high8 // np.uint32(10**8)
+    high8 -= lead * np.uint32(10**8)
+    groups = []
+    for word in (high8, low8):
+        top = word // np.uint32(10**4)
+        groups += [top, word - top * np.uint32(10**4)]
     source = np.empty((len(x), _SOURCE), np.uint8)
     words = source.view(np.uint32)
     for i, group in enumerate(groups):
@@ -260,35 +269,48 @@ def _spell(values, spell=_SPELLING.__mod__) -> np.ndarray:
     return cells[:, :width]
 
 
-def _table(columns: Dict[str, Sequence], heads: Sequence[str], tail: str, end: str,
+def _records(matrix: np.ndarray) -> np.ndarray:
+    """The rows of a uint8 matrix (its rows contiguous) as one fixed-width
+    record each, a view: copying a record is one copy of its bytes."""
+    return matrix.view(f"V{matrix.shape[1]}")[:, 0]
+
+
+def _table(columns: Dict[str, object], heads: Sequence[str], tail: str, end: str,
            spell) -> List[str]:
     """Texts of a table's row blocks.  A row is heads[0], the row's number of
     the first column, heads[1], ..., then `tail`, or `end` after the last row.
 
-    Each column's distinct numbers (by bit pattern: -0.0 is not 0.0) are
-    spelled once by `_spell`, as cells as wide as the column's longest, and
-    gathered row by row.  A block of rows is one uint8 matrix of fragments and
-    NUL-padded cells, whose text is the matrix without its NULs.
+    A column is a list or array of numbers, one per row, or a pair (values,
+    index) whose row i holds values[index[i]].  `_spell` spells each number
+    given once, as cells as wide as the column's longest, so a pair's values
+    are spelled once however often rows repeat them.  A block of rows is one
+    uint8 matrix of fragments and NUL-padded cells, each cell copied in as one
+    fixed-width record, whose text is the matrix without its NULs.
     """
-    row, cells = "", []
+    row, cells, n = "", [], 0
     for head, column in zip(heads, columns.values()):
-        bits, index = np.unique(np.asarray(column, dtype=np.float64).view(np.int64),
-                                return_inverse=True)
-        spelled = _spell(bits.view(np.float64), spell)
+        values, index = column if isinstance(column, tuple) else (column, None)
+        spelled = _spell(values, spell)
+        n = len(spelled) if index is None else len(index)
         row += head
-        cells.append((len(row), spelled, index.ravel()))
+        cells.append((len(row), spelled, index))
         row += "\0" * spelled.shape[1]
+    if not n:
+        return []
     width = max(len(tail), len(end))
     row += tail.ljust(width, "\0")
-    n = len(cells[0][2]) if cells else 0
     block = np.empty((min(n, _BLOCK_ROWS), len(row)), np.uint8)
     block[:] = np.frombuffer(row.encode(), np.uint8)
+    slots = [(_records(block[:, offset:offset + spelled.shape[1]]), _records(spelled), index)
+             for offset, spelled, index in cells]
     text = []
     for start in range(0, n, _BLOCK_ROWS):
-        rows = block[:min(n - start, _BLOCK_ROWS)]
-        for offset, spelled, index in cells:
-            rows[:, offset:offset + spelled.shape[1]] = spelled[index[start:start + len(rows)]]
-        if start + len(rows) == n:
+        stop = min(n, start + _BLOCK_ROWS)
+        for slot, records, index in slots:
+            chosen = slice(start, stop) if index is None else index[start:stop]
+            slot[:stop - start] = records[chosen]
+        rows = block[:stop - start]
+        if stop == n:
             rows[-1, -width:] = np.frombuffer(end.ljust(width, "\0").encode(), np.uint8)
         text.append(rows.tobytes().replace(b"\0", b"").decode("ascii"))
     return text
@@ -309,10 +331,10 @@ def json_dumps(fields: Dict[str, object], table: bool = False) -> List[str]:
     to be written in turn.
 
     A report maps each name to one value, spelled by `_report_value` into one
-    record template, one text.  A table maps each name to a column of numbers
-    (a sequence or an array) and is written as an array with one record per
-    row, a text per block of rows of `_table`; its non-finite numbers are NaN,
-    Infinity and -Infinity.
+    record template, one text.  A table maps each name to a column of `_table`
+    (a list or array of numbers, one per row, or a pair (values, index)) and
+    is written as an array with one record per row, a text per block of rows
+    of `_table`; its non-finite numbers are NaN, Infinity and -Infinity.
     """
     if not table:
         return [_record(dict.fromkeys(fields, "%s"), "") % tuple(
@@ -322,7 +344,7 @@ def json_dumps(fields: Dict[str, object], table: bool = False) -> List[str]:
     return ["[\n", *blocks] if blocks else ["[]\n"]
 
 
-def _csv(columns: Dict[str, Sequence]) -> List[str]:
+def _csv(columns: Dict[str, object]) -> List[str]:
     """CSV table as texts to be written in turn: a header of the column names,
     then the blocks of comma-separated lines, one line per row; nan, inf and
     -inf are the spelling's own."""
@@ -330,15 +352,21 @@ def _csv(columns: Dict[str, Sequence]) -> List[str]:
     return [",".join(columns) + "\n", *_table(columns, heads, "\n", "\n", _SPELLING.__mod__)]
 
 
-def _mode_table(columns: Dict[str, np.ndarray], fmt: str) -> List[str]:
-    """Per-mode table as csv or json texts: one row per (k1, k2), k2 varying fastest.
+def _mode_table(kmax: int, by_mode: Dict[str, np.ndarray], by_lambda: Dict[str, np.ndarray],
+                fmt: str) -> List[str]:
+    """Per-mode table as csv or json texts: one row per (k1, k2), k2 varying
+    fastest, with the columns k1, k2, then `by_mode`, then `by_lambda`.
 
-    `columns` maps column names to (kmax, kmax) arrays indexed [k1-1, k2-1];
-    the k1 and k2 columns are prepended.
+    `by_mode` maps names to (kmax, kmax) arrays indexed [k1-1, k2-1], spelled
+    row by row; `by_lambda` maps names to arrays over the distinct eigenvalues
+    of `spectrum._lattice`, each value spelled once and written at every mode
+    of its eigenvalue, as are the kmax values of k1 and of k2.
     """
-    kmax = len(next(iter(columns.values())))
-    k1, k2 = np.indices((kmax, kmax)) + 1
-    table = {name: a.ravel() for name, a in {"k1": k1, "k2": k2, **columns}.items()}
+    index = _lattice(kmax)[1]
+    k, flat = np.arange(1, kmax + 1), np.arange(kmax * kmax)
+    table = {"k1": (k, flat // kmax), "k2": (k, flat % kmax),
+             **{name: a.ravel() for name, a in by_mode.items()},
+             **{name: (a, index) for name, a in by_lambda.items()}}
     return _csv(table) if fmt == "csv" else json_dumps(table, table=True)
 
 
@@ -743,12 +771,13 @@ def _load_initial_data(values: _Values, kmax: int) -> InitialData:
 def _run_spectrum(values: _Values, output: Optional[str]) -> None:
     beta, eta, kmax, fmt = values["beta"], values["eta"], values["kmax"], values["format"]
     params = KernelParams(beta=beta, eta=eta)
-    lam, omega, r = mode_spectrum(params, kmax)
+    first = _lattice(kmax)[2]
+    lam, omega, r = (a.ravel()[first] for a in mode_spectrum(params, kmax))
     residual = np.maximum.reduce(_vieta_residuals(
         1j * omega, -1j * omega.conj(), r.astype(complex), params, lam))
     columns = {"lambda": lam, "re_omega": omega.real, "im_omega": omega.imag,
                "r": r, "residual": residual}
-    _write_output(_mode_table(columns, fmt), output)
+    _write_output(_mode_table(kmax, {}, columns, fmt), output)
 
 
 def _run_gaps(values: _Values, output: Optional[str]) -> None:
@@ -815,10 +844,10 @@ def _run_ingham_check(values: _Values, output: Optional[str]) -> None:
 def _run_modes(values: _Values, output: Optional[str]) -> None:
     beta, kmax = values["beta"], values["kmax"]
     expansion = expand(KernelParams.limiting_regime(beta), _load_initial_data(values, kmax))
-    columns = {"C_re": expansion.C.real, "C_im": expansion.C.imag, "R": expansion.R,
-               "re_omega": expansion.omega.real, "im_omega": expansion.omega.imag,
-               "r": expansion.r}
-    _write_output(_mode_table(columns, "json"), output)
+    omega, r = (a.ravel()[_lattice(kmax)[2]] for a in (expansion.omega, expansion.r))
+    by_mode = {"C_re": expansion.C.real, "C_im": expansion.C.imag, "R": expansion.R}
+    by_lambda = {"re_omega": omega.real, "im_omega": omega.imag, "r": r}
+    _write_output(_mode_table(kmax, by_mode, by_lambda, "json"), output)
 
 
 def _run_observe(values: _Values, output: Optional[str]) -> None:
@@ -835,8 +864,9 @@ def _run_thresholds(values: _Values, output: Optional[str]) -> None:
     S = constant_S(mu, theta)
     betas = np.linspace(0.0, BETA_MAX, steps + 1).tolist()
     beta0, t0, gammas = _thresholds(betas, mu, S)
-    columns = {"beta": betas, "gamma": gammas,
-               "S": [S] * len(betas), "T0": t0, "beta0_global": [beta0] * len(betas)}
+    constant = np.zeros(len(betas), np.intp)  # one value in every row
+    columns = {"beta": betas, "gamma": gammas, "S": ([S], constant), "T0": t0,
+               "beta0_global": ([beta0], constant)}
     _write_output(_csv(columns), output)
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -204,19 +205,43 @@ def _vieta_residuals(z1, z2, z3, params: KernelParams, lam):
     )
 
 
+@lru_cache(maxsize=1)
+def _lattice(kmax: int) -> tuple:
+    """The mode lattice indexed by eigenvalue: the distinct lam = k1^2 + k2^2 of
+    k1, k2 <= kmax in ascending order (float64), each mode's index into them
+    (k2 varying fastest) and each lam's first mode in that order.  Built from a
+    presence table over the integers up to 2*kmax^2, whose present entries are
+    ranked in place, with no sort; the arrays are read-only and the last
+    lattice made is kept."""
+    k = np.arange(1, kmax + 1)
+    lam = (k[:, None] ** 2 + k[None, :] ** 2).ravel()
+    present = np.zeros(2 * kmax * kmax + 1, bool)
+    present[lam] = True
+    distinct = np.flatnonzero(present)
+    rank = np.empty(len(present), np.intp)  # read only where present
+    rank[distinct] = np.arange(len(distinct))
+    index = rank[lam]
+    distinct = distinct.astype(float)
+    first = np.full(len(distinct), len(lam))
+    np.minimum.at(first, index, np.arange(len(lam)))
+    for array in (distinct, index, first):
+        array.flags.writeable = False
+    return distinct, index, first
+
+
 def mode_spectrum(params: KernelParams, kmax: int):
     """Vectorized closed-form spectrum of all modes with k1, k2 <= kmax.
 
-    Returns (lam, omega, r) as (kmax, kmax) arrays indexed [k1-1, k2-1], from
-    `_closed_form_roots` (also behind `characteristic_roots`).  lam is symmetric
-    and the core elementwise, so omega and r are exactly symmetric in (k1, k2).
+    Returns (lam, omega, r) as (kmax, kmax) arrays indexed [k1-1, k2-1]:
+    `_closed_form_roots` (also behind `characteristic_roots`) evaluated once
+    per distinct lam of `_lattice` and gathered back to every mode, so omega
+    and r are functions of lam, exactly symmetric in (k1, k2).
     """
     if kmax < 1:
         raise InputError("kmax must be >= 1")
-    k = np.arange(1, kmax + 1, dtype=float)
-    lam = k[:, None] ** 2 + k[None, :] ** 2
-    omega, r = _closed_form_roots(params, lam)[:2]
-    return lam, omega, r
+    distinct, index, _ = _lattice(kmax)
+    omega, r = _closed_form_roots(params, distinct)[:2]
+    return tuple(a[index].reshape(kmax, kmax) for a in (distinct, omega, r))
 
 
 def _require_symmetric(name: str, *grids) -> None:

@@ -132,7 +132,7 @@ class TestTableWriter:
     def test_tables_round_trip_exactly(self, rows, pool, as_arrays):
         # int64 k1, k2 columns beside an all-finite float column, two columns of
         # any floats and a column of many repeats, 0.0 next to -0.0, as Python
-        # lists or as numpy arrays; each column's distinct numbers are spelled once
+        # lists or as numpy arrays; plain columns are spelled row by row
         n = len(rows)
         pool = [0.0, -0.0, *pool]
         columns = {"k1": np.arange(n, dtype=np.int64) // 4 + 1,
@@ -158,7 +158,8 @@ class TestTableWriter:
             assert int(csv_rows[i + 1][0]) == i // 4 + 1 and int(csv_rows[i + 1][1]) == i % 4 + 1
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_spectrum_matches_reference_writer_at_kmax_64(self, fmt, tmp_path):
+    def test_spectrum_matches_reference_writer_at_kmax_64(self, fmt, tmp_path, monkeypatch):
+        spelled = spell_counter(monkeypatch)
         params = KernelParams(beta=0.4, eta=0.6)
         lam, omega, r = mode_spectrum(params, 64)
         residual = np.maximum.reduce(_vieta_residuals(
@@ -169,8 +170,11 @@ class TestTableWriter:
         assert parse_and_dispatch(["spectrum", "--beta", "0.4", "--eta", "0.6", "--kmax", "64",
                                    "--format", fmt, "--output", str(out)]) == 0
         assert out.read_text() == reference_mode_table(columns, fmt)
+        # k1 and k2 once each, and every other column once per distinct lambda
+        assert sum(spelled) == 2 * 64 + 5 * DISTINCT_LAMBDA_64
 
-    def test_modes_matches_reference_writer_at_kmax_64(self, tmp_path):
+    def test_modes_matches_reference_writer_at_kmax_64(self, tmp_path, monkeypatch):
+        spelled = spell_counter(monkeypatch)
         rng = np.random.default_rng(64)
         grids = []
         for name in ("u0", "u1"):
@@ -184,6 +188,24 @@ class TestTableWriter:
         columns = {"C_re": e.C.real, "C_im": e.C.imag, "R": e.R, "re_omega": e.omega.real,
                    "im_omega": e.omega.imag, "r": e.r}
         assert out.read_text() == reference_mode_table(columns, "json")
+        # the coefficients row by row, the exponents once per distinct lambda
+        assert sum(spelled) == 2 * 64 + 3 * 64**2 + 3 * DISTINCT_LAMBDA_64
+
+
+#: Distinct eigenvalues k1^2 + k2^2 with k1, k2 <= 64.
+DISTINCT_LAMBDA_64 = 1581
+
+
+def spell_counter(monkeypatch):
+    """Patch `cli._spell` to record how many numbers each call spells."""
+    counts, spell = [], cli._spell
+
+    def counted(values, *args):
+        counts.append(len(values))
+        return spell(values, *args)
+
+    monkeypatch.setattr(cli, "_spell", counted)
+    return counts
 
 
 def spelling_cells(texts):
@@ -834,9 +856,12 @@ class TestFiniteReport:
 
 
 class TestThresholdsCommand:
-    def test_table(self, capsys):
+    def test_table(self, capsys, monkeypatch):
+        spelled = spell_counter(monkeypatch)
         status, out, _ = run(["thresholds", "--mu", "1", "--beta-steps", "3"], capsys)
         assert status == 0
+        # beta, gamma and T0 row by row; the constants S and beta0_global once
+        assert spelled == [4, 4, 1, 4, 1]
         lines = out.strip().split("\n")
         assert lines[0] == "beta,gamma,S,T0,beta0_global"
         assert len(lines) == 5

@@ -18,6 +18,7 @@ from memwave import (
     phi_psi_limiting,
     vieta_residuals,
 )
+from memwave.spectrum import _closed_form_roots, _lattice
 
 # 50-digit offline evaluations (mpmath), frozen as binary64 constants.
 PHI_GENERAL_01_015_2 = 0.9943803032542428633239734
@@ -237,3 +238,33 @@ class TestModeSpectrumGrid:
         closed = characteristic_roots(params, 3.0).roots()
         numeric = characteristic_roots_numeric(params, 3.0)
         assert paired_root_error(closed, numeric) < 1e-12
+
+
+class TestLattice:
+    """The eigenvalue lattice against `np.unique`, and the spectrum built on it
+    against the closed-form roots of every mode."""
+
+    @pytest.mark.parametrize("kmax", [*range(1, 65), 512])
+    def test_matches_unique(self, kmax):
+        k = np.arange(1, kmax + 1)
+        lam = k[:, None] ** 2 + k[None, :] ** 2
+        distinct, first, index = np.unique(lam, return_index=True, return_inverse=True)
+        lattice = _lattice(kmax)
+        for got, want in zip(lattice, (distinct, index.ravel(), first)):
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+        assert lattice[0].dtype == np.float64
+        assert _lattice(kmax) is lattice
+
+    @pytest.mark.parametrize("beta, eta", [(0.0, 0.0), (0.01, 0.015), (0.4, 0.6), (0.3, 1.0),
+                                           (2 / math.sqrt(3), math.sqrt(3))])
+    @pytest.mark.parametrize("kmax", [1, 2, 63, 192, 512])
+    def test_spectrum_is_the_roots_of_every_mode(self, beta, eta, kmax):
+        # the oracle evaluates the closed form at each of the kmax^2 modes
+        params = KernelParams(beta=beta, eta=eta)
+        k = np.arange(1, kmax + 1, dtype=float)
+        lam = k[:, None] ** 2 + k[None, :] ** 2
+        want = (lam, *_closed_form_roots(params, lam)[:2])
+        for got, oracle in zip(mode_spectrum(params, kmax), want):
+            assert got.shape == (kmax, kmax) and got.dtype == oracle.dtype
+            assert got.tobytes() == oracle.tobytes()
