@@ -30,11 +30,12 @@ operator, then the rows are laid out as byte matrices; the text is the same as
 
 Sample grids are read by `_read_grid`, the speller's inverse, when plain:
 lines of comma-separated numbers [+-]?d*(.d*)?([eE][+-]?d{1,3})? of 1 to 24
-significand digits, the same count on every line, the final newline
-optional.  The result equals `np.loadtxt(path, delimiter=",", ndmin=2)` bit
-for bit; any other file (spaces, CR, comments, blank lines, ragged rows, empty
-fields, nan/inf, non-ASCII bytes, longer numbers) goes to `np.loadtxt`.  A
-leading UTF-8 byte order mark is dropped first.
+significand digits, the same count on every line, the final newline optional:
+every byte not a digit is a mark, a sign, point, exponent marker or separator
+in its place.  The result equals `np.loadtxt(path, delimiter=",", ndmin=2)`
+bit for bit; any other file (spaces, CR, comments, blank lines, ragged rows,
+empty fields, nan/inf, non-ASCII bytes, longer numbers) goes to `np.loadtxt`.
+A leading UTF-8 byte order mark is dropped first.
 
 Exit status follows the error type: 0 on success, 2 for an `errors.InputError`
 (bad input; one-line diagnostic on stderr), 1 for an `errors.CertificationFailure`
@@ -48,8 +49,8 @@ column named), a grid whose sine coefficients overflow, initial data whose
 observe inequality overflows, an input file that cannot be read or an --output
 (or stdout) that cannot be written, an empty string value (an empty --output
 path, say), a config or family file that is not UTF-8, and a family file whose
-top level is not an object, whose tau is not a finite integer or whose arrays
-are not flat lists.
+top level is not an object, whose tau is not a finite integer, whose arrays
+are not flat lists or whose numbers are JSON strings or booleans.
 """
 
 from __future__ import annotations
@@ -403,22 +404,20 @@ def _write_output(texts: List[str], path: Optional[str]) -> None:
 
 # A plain grid is lines of comma-separated tokens [+-]?d*(.d*)?([eE][+-]?d{1,3})?
 # with 1 to 24 significand digits, the same number on every line, and an
-# optional final newline.  The separators, points, signs and exponent markers
-# are found in the bytes of a block of lines at once.  A token's significand
-# digits, right-aligned in 24 bytes with the point taken out and '0's in
-# front, are three uint64 words of eight ASCII digits, each checked and
-# converted by SWAR arithmetic.  Its significand w < 10**19 and decimal
-# exponent q give the double nearest w * 10**q by the Eisel-Lemire step: the
-# top word of the normalised w times a 128-bit truncation of 5**q, a second
-# product only when the first cannot decide, and round half-even only where
-# a tie is possible (Lemire, "Number parsing at a gigabyte per second", 2021;
-# Mushtak and Lemire, "Fast number parsing without fallback", 2023).  Tokens
-# with more than 19 significant digits, a subnormal or infinite result go
-# through `float`, the correctly rounded conversion `np.loadtxt` uses too.
+# optional final newline.  Every byte but an ASCII digit is a mark, found in
+# a block of lines at once; a token's marks must be its signs, point, exponent
+# marker and separator in their places, so the bytes between them are digits.
+# Its significand digits, right-aligned in 24 bytes with the point taken out
+# and '0's in front, are three uint64 words of eight ASCII digits, converted
+# by SWAR arithmetic.  The significand w < 10**19 and decimal exponent q give
+# the double nearest w * 10**q by the Eisel-Lemire step: the top word of the
+# normalised w times a 128-bit truncation of 5**q, a second product only when
+# the first cannot decide, round half-even only where a tie is possible (Lemire,
+# "Number parsing at a gigabyte per second", 2021; Mushtak and Lemire, "Fast
+# number parsing without fallback", 2023).  More than 19 significant digits, a
+# subnormal or infinite result go through `float`, as in `np.loadtxt`.
 
 _ASCII_ZEROS = np.uint64(0x3030303030303030)
-_ABOVE_NINE = np.uint64(0x4646464646464646)
-_HIGH_BITS = np.uint64(0x8080808080808080)
 #: Most significand digits and exponent digits of a token.
 _SIGNIFICAND, _EXPONENT = 24, 3
 #: Decimal exponents of the 5**q words; a 19-digit significand times 10**q is
@@ -496,8 +495,6 @@ _GRID_BLOCK = 1 << 19
 def _read_grid(data: bytes) -> Optional[np.ndarray]:
     """The float64 matrix `np.loadtxt(path, delimiter=",", ndmin=2)` reads from
     the bytes of a plain grid, bit for bit; None for any other file."""
-    if not data:
-        return None
     if not data.endswith(b"\n"):
         data += b"\n"
     cols = data.count(b",", 0, data.index(b"\n")) + 1
@@ -521,13 +518,13 @@ def _read_lines(text: bytes, buf, windows, start: int, end: int, cols: int):
     None when a token or line is outside the plain grammar; `buf` is the text
     as bytes and windows[i] its _SIGNIFICAND bytes from i."""
     chunk = buf[start:end]
-    marks = np.flatnonzero((chunk < 0x30) | (chunk | 0x20 == 0x65))
+    marks = np.flatnonzero(chunk - np.uint8(0x30) > 9)  # every byte but a digit
     kind = chunk[marks]
     sep = np.flatnonzero((kind == 0x2C) | (kind == 0x0A))
     ends = marks[sep]
     n = len(ends)
     newline = kind[sep] == 0x0A
-    if n % cols or np.count_nonzero(newline) * cols != n or not newline[cols - 1::cols].all():
+    if np.count_nonzero(newline) * cols != n or not newline[cols - 1::cols].all():
         return None
     starts = np.empty_like(ends)
     starts[0], starts[1:] = 0, ends[:-1] + 1
@@ -567,28 +564,21 @@ def _read_lines(text: bytes, buf, windows, start: int, end: int, cols: int):
     q = -fraction
     q[with_exp] += np.where(exp_negative, -1, 1) * (last.astype(np.intp) @ [100, 10, 1])
     # the significand window ending at the marker, its point taken out and the
-    # bytes before its digits made '0'; 24 digits and a point after the first
-    # leave that digit outside, checked on its own
-    wide = np.flatnonzero((digits + points > _SIGNIFICAND) & (fraction < _SIGNIFICAND))
-    held = digits.copy()
-    held[wide] -= 1
-    masks = _SIGNIFICAND_MASKS.take(held * (_SIGNIFICAND + 1) + (_SIGNIFICAND - fraction) * points,
-                                    axis=1)
+    # bytes before its digits made '0'; 24 digits and a point may leave the
+    # first digit outside, so such tokens go to `float`
+    layout = digits * (_SIGNIFICAND + 1) + (_SIGNIFICAND - fraction) * points
+    masks = _SIGNIFICAND_MASKS.take(layout, axis=1)
     w = windows[mark + (start - _SIGNIFICAND)].view("<u8").reshape(n, 3).T.copy()
     moved = w << 8
     moved[1:] |= w[:2] >> 56
     w ^= (w ^ moved) & masks[:3]
     w = _ASCII_ZEROS ^ ((w ^ _ASCII_ZEROS) & masks[3:])
     d = w - _ASCII_ZEROS
-    if (((w + _ABOVE_NINE | d) & _HIGH_BITS).any() or (last > 9).any()
-            or (chunk[starts[wide] + lead[wide]] - 0x30 > 9).any()):
-        return None
     d = d * 10 + (d >> 8)
     d = ((d & 0x000000FF000000FF) * (100 + (1000000 << 32))
          + (d >> 16 & 0x000000FF000000FF) * (1 + (10000 << 32))) >> 32
     significand = d[0] * 10**16 + d[1] * 10**8 + d[2]
-    fits = d[0] < 1000  # at most 19 significant digits
-    fits[wide] = False
+    fits = (d[0] < 1000) & (digits + points <= _SIGNIFICAND)  # at most 19 significant digits
     zero = fits & (significand == 0)
     exact = fits & ~zero & (q >= _Q_MIN) & (q <= _Q_MAX)
     if not exact.all():
@@ -658,13 +648,13 @@ def _read_file(flag: str, path: str) -> bytes:
 def load_config(path: str) -> Dict[str, str]:
     """Parse a flat `key = value` config file into its parameter map.
 
-    Keys are case-insensitive with hyphens and underscores interchangeable.
-    Raises ParseError with the line number for malformed lines and
-    ValidationError for unknown keys, an unreadable file or one that is not
-    UTF-8 text.
+    Keys are case-insensitive with hyphens and underscores interchangeable; a
+    leading UTF-8 byte order mark is dropped.  Raises ParseError with the line
+    number for malformed lines and ValidationError for unknown keys, an
+    unreadable file or one that is not UTF-8 text.
     """
     try:
-        text = _read_file("config", path).decode("utf-8")
+        text = _read_file("config", path).decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValidationError("config", f"not UTF-8 text in {path}: {exc}")
     parameters: Dict[str, str] = {}
@@ -802,9 +792,14 @@ def _load_family(path: str) -> ExponentFamily:
     missing = [key for key in required if key not in raw]
     if missing:
         raise ValidationError("family", f"missing keys: {', '.join(missing)}")
+    # JSON numbers only: a bool is an int to Python, and float() reads strings
     tau = raw["tau"]
-    if isinstance(tau, float) and not tau.is_integer():
-        raise ValidationError("family", f"tau must be a finite integer, got {tau}")
+    if isinstance(tau, (bool, str)) or isinstance(tau, float) and not tau.is_integer():
+        raise ValidationError("family", f"tau must be a finite integer, got {tau!r}")
+    for key in required:
+        for v in raw[key] if isinstance(raw[key], list) else [raw[key]]:
+            if isinstance(v, (bool, str)):
+                raise ValidationError("family", f"{key} must hold numbers, got {v!r}")
 
     def pair(re: str, im: str) -> np.ndarray:
         """re + i*im of two arrays of one shape, without the NaN of inf * 1j."""

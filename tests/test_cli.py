@@ -401,6 +401,22 @@ class TestGridReader:
     def test_plain_spellings(self, data):
         assert_read_like_loadtxt(data)
 
+    @pytest.mark.parametrize("token", [b"1.5", b"-2.25e-3", b"+3", b".5", b"7.",
+                                       b"0.00012345678901234567"])
+    def test_every_byte_inserted_or_substituted(self, token):
+        # every byte but a digit is a mark, and a mark out of place is rejected
+        # by the mark checks alone: no byte reaches the arithmetic unread
+        outcomes = set()
+        for byte in map(bytes, zip(range(256))):
+            for cut in (0, 1):  # inserted, substituted
+                for i in range(len(token) + 1 - cut):
+                    data = b"1," + token[:i] + byte + token[i + cut:] + b"\n3,4\n"
+                    read = cli._read_grid(data) is not None
+                    if read:
+                        assert_read_like_loadtxt(data)
+                    outcomes.add(read)
+        assert outcomes == {False, True}
+
     def test_golden_grids_and_blocks(self, monkeypatch):
         golden = Path(__file__).resolve().parent / "golden"
         for name in ("u0.csv", "u1.csv"):
@@ -988,17 +1004,24 @@ class TestRejectedNumbers:
             assert not out.exists()
 
     def test_family_entries_must_be_finite(self, tmp_path, capsys):
-        # json reads NaN; the family must not reach the arithmetic with it
-        family = json.loads(open(write_family(tmp_path)).read())
-        family["omega_re"] = [3.0, math.nan]
-        path = tmp_path / "nan.json"
-        path.write_text(json.dumps(family))
-        out = tmp_path / "out"
-        status, _, err = run(["ingham-check", "--family", str(path), "--T", "4",
-                              "--output", str(out)], capsys)
-        assert status == 2
-        assert err.startswith("error: family: omegas must be finite")
-        assert not out.exists()
+        # json reads NaN, strings and booleans; the family must not reach the
+        # arithmetic with them, nor float() read a string or a bool as a number
+        for key, value, message in (
+            ("omega_re", [3.0, math.nan], "omegas must be finite"),
+            ("gamma", "0.9", "gamma must hold numbers, got '0.9'"),
+            ("C_re", ["1.0", True], "C_re must hold numbers, got '1.0'"),
+            ("r", [1.0, True], "r must hold numbers, got True"),
+        ):
+            family = json.loads(open(write_family(tmp_path)).read())
+            family[key] = value
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(family))
+            out = tmp_path / "out"
+            status, _, err = run(["ingham-check", "--family", str(path), "--T", "4",
+                                  "--output", str(out)], capsys)
+            assert status == 2, key
+            assert err.startswith(f"error: family: {message}")
+            assert not out.exists()
 
     def test_huge_mu_exits_2(self, tmp_path, capsys):
         # 4 + 3*S overflows: the error names mu, not T
@@ -1060,6 +1083,17 @@ class TestConfigFile:
         status, _, err = run(["gaps", "--config", str(conf)], capsys)
         assert status == 2
         assert "beta" in err
+
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        # as some editors write it; grids drop it too
+        outs = []
+        for name, head in (("bom.conf", b"\xef\xbb\xbf"), ("plain.conf", b"")):
+            conf = tmp_path / name
+            conf.write_bytes(head + b"beta = 0.2\nkmax = 4\n")
+            status, out, err = run(["gaps", "--config", str(conf)], capsys)
+            assert (status, err) == (0, "")
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     def test_parse_error_reports_line(self, tmp_path):
         conf = tmp_path / "malformed.conf"
@@ -1224,7 +1258,8 @@ class TestFileBoundary:
         assert (status, out) == (2, "")
         assert err == f"error: family: the top level of {path} is not a JSON object\n"
 
-    @pytest.mark.parametrize("tau, shown", [(1e400, "inf"), (math.nan, "nan"), (1.5, "1.5")])
+    @pytest.mark.parametrize("tau, shown", [(1e400, "inf"), (math.nan, "nan"), (1.5, "1.5"),
+                                            (True, "True"), ("3", "'3'")])
     def test_family_tau_must_be_a_finite_integer(self, tau, shown, tmp_path, capsys):
         path = write_golden_family(tmp_path, tau=tau)
         status, out, err = run(["ingham-check", "--family", path, "--T", "4"], capsys)
