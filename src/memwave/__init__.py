@@ -53,7 +53,6 @@ from .spectrum import (
     laplace_eigenvalue,
     mode_spectrum,
     phi_psi,
-    phi_psi_limiting,
     vieta_residuals,
 )
 from .gap_analysis import (
@@ -117,7 +116,7 @@ __all__ = [
     "NotPositiveWarning",
     # spectrum
     "BETA_MAX", "KernelParams", "SpectralTriple", "laplace_eigenvalue",
-    "phi_psi", "phi_psi_limiting", "characteristic_roots", "vieta_residuals",
+    "phi_psi", "characteristic_roots", "vieta_residuals",
     "mode_spectrum",
     # gap analysis
     "GapConstant", "GapAudit", "sqrt_gap_bound", "freq_scale_parts",

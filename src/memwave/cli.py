@@ -167,18 +167,20 @@ def _layouts() -> tuple:
 
 def _mul128(a, b) -> tuple:
     """(high, low) uint64 words of the 128-bit products a * b of uint64 arrays,
-    from 32-bit limbs: the one wide product of the speller and the grid reader."""
+    from 32-bit limbs, worked in place: the one wide product of the speller and
+    the grid reader."""
     a_hi, a_lo, b_hi, b_lo = a >> 32, a & _LOW32, b >> 32, b & _LOW32
     low = a_lo * b_lo
-    middle = a_lo * b_hi
-    middle += low >> 32
-    cross = a_hi * b_lo
-    cross += middle & _LOW32
-    high = a_hi * b_hi
-    high += middle >> 32
-    high += cross >> 32
+    middle = np.multiply(a_lo, b_hi, out=a_lo)
+    cross = np.multiply(a_hi, b_lo, out=b_lo)
+    high = np.multiply(a_hi, b_hi, out=a_hi)
+    shifted = b_hi  # free from here: each shifted word in turn
+    middle += np.right_shift(low, 32, out=shifted)
+    cross += np.bitwise_and(middle, _LOW32, out=shifted)
+    high += np.right_shift(middle, 32, out=shifted)
+    high += np.right_shift(cross, 32, out=shifted)
     low &= _LOW32
-    low |= cross << 32
+    low |= np.left_shift(cross, 32, out=cross)
     return high, low
 
 
@@ -408,7 +410,7 @@ def _write_output(texts: List[str], path: Optional[str]) -> None:
 # a block of lines at once; a token's marks must be its signs, point, exponent
 # marker and separator in their places, so the bytes between them are digits.
 # Its significand digits, right-aligned in 24 bytes with the point taken out
-# and '0's in front, are three uint64 words of eight ASCII digits, converted
+# and zeros in front, are three uint64 words of eight digit values, converted
 # by SWAR arithmetic.  The significand w < 10**19 and decimal exponent q give
 # the double nearest w * 10**q by the Eisel-Lemire step: the top word of the
 # normalised w times a 128-bit truncation of 5**q, a second product only when
@@ -514,10 +516,34 @@ def _read_grid(data: bytes) -> Optional[np.ndarray]:
 
 
 def _read_lines(text: bytes, buf, windows, start: int, end: int, cols: int):
-    """Values of the tokens of text[start:end], whole lines of `cols` tokens, or
-    None when a token or line is outside the plain grammar; `buf` is the text
-    as bytes and windows[i] its _SIGNIFICAND bytes from i."""
-    chunk = buf[start:end]
+    """Values of the tokens of text[start:end], whole lines of `cols` tokens, or None
+    when one is outside the plain grammar; `buf` is the text as bytes and windows[i]
+    its _SIGNIFICAND bytes from i.  Each step frees its temporaries before the next."""
+    tokens = _tokens(buf[start:end], cols)
+    if tokens is None:
+        return None
+    starts, ends, negative, mark, layout, q, fits = tokens
+    significand, short = _significands(windows[mark + (start - _SIGNIFICAND)], layout)
+    fits &= short
+    zero = fits & (significand == 0)
+    exact = fits & ~zero & (q >= _Q_MIN) & (q <= _Q_MAX)
+    if not exact.all():
+        significand[~exact], q[~exact] = 1, 0
+    bits, normal = _nearest_doubles(significand, q)
+    exact &= normal
+    if not exact.all():
+        bits[~exact] = 0
+    bits |= negative.astype(np.uint64) << 63
+    values = bits.view(np.float64)
+    for i in np.flatnonzero(~(exact | zero)).tolist():
+        values[i] = float(text[start + starts[i]:start + ends[i]])
+    return values
+
+
+def _tokens(chunk, cols):
+    """Each token's start, end, sign, marker (its exponent marker, else its end),
+    significand layout, decimal exponent q and whether its window holds all its
+    digits; None when `chunk` is outside the plain grammar."""
     marks = np.flatnonzero(chunk - np.uint8(0x30) > 9)  # every byte but a digit
     kind = chunk[marks]
     sep = np.flatnonzero((kind == 0x2C) | (kind == 0x0A))
@@ -563,35 +589,34 @@ def _read_lines(text: bytes, buf, windows, start: int, end: int, cols: int):
     last[np.arange(_EXPONENT) < _EXPONENT - exp_digits[:, None]] = 0
     q = -fraction
     q[with_exp] += np.where(exp_negative, -1, 1) * (last.astype(np.intp) @ [100, 10, 1])
-    # the significand window ending at the marker, its point taken out and the
-    # bytes before its digits made '0'; 24 digits and a point may leave the
-    # first digit outside, so such tokens go to `float`
+    # 24 digits and a point may leave the first digit outside the window, so
+    # such tokens go to `float`
     layout = digits * (_SIGNIFICAND + 1) + (_SIGNIFICAND - fraction) * points
-    masks = _SIGNIFICAND_MASKS.take(layout, axis=1)
-    w = windows[mark + (start - _SIGNIFICAND)].view("<u8").reshape(n, 3).T.copy()
+    return starts, ends, negative, mark, layout, q, digits + points <= _SIGNIFICAND
+
+
+def _significands(windows, layout) -> tuple:
+    """The significands of tokens from their windows (the _SIGNIFICAND bytes
+    before each marker) and layouts, and where they have at most 19 digits: the
+    point taken out and the bytes before the digits made 0, in place."""
+    w = windows.view("<u8").reshape(-1, 3).T.copy()
     moved = w << 8
     moved[1:] |= w[:2] >> 56
-    w ^= (w ^ moved) & masks[:3]
-    w = _ASCII_ZEROS ^ ((w ^ _ASCII_ZEROS) & masks[3:])
-    d = w - _ASCII_ZEROS
-    d = d * 10 + (d >> 8)
-    d = ((d & 0x000000FF000000FF) * (100 + (1000000 << 32))
-         + (d >> 16 & 0x000000FF000000FF) * (1 + (10000 << 32))) >> 32
-    significand = d[0] * 10**16 + d[1] * 10**8 + d[2]
-    fits = (d[0] < 1000) & (digits + points <= _SIGNIFICAND)  # at most 19 significant digits
-    zero = fits & (significand == 0)
-    exact = fits & ~zero & (q >= _Q_MIN) & (q <= _Q_MAX)
-    if not exact.all():
-        significand[~exact], q[~exact] = 1, 0
-    bits, normal = _nearest_doubles(significand, q)
-    exact &= normal
-    if not exact.all():
-        bits[~exact] = 0
-    bits |= negative.astype(np.uint64) << 63
-    values = bits.view(np.float64)
-    for i in np.flatnonzero(~(exact | zero)).tolist():
-        values[i] = float(text[start + starts[i]:start + ends[i]])
-    return values
+    moved ^= w
+    moved &= _SIGNIFICAND_MASKS[:3].take(layout, axis=1)
+    w ^= moved  # the bytes before the point, one column on
+    w ^= _ASCII_ZEROS
+    w &= _SIGNIFICAND_MASKS[3:].take(layout, axis=1)  # each digit's value, as '0' is 0x30
+    pairs = np.right_shift(w, 8, out=moved)
+    w *= 10
+    w += pairs  # two digits in each 16 bits
+    quads = np.right_shift(w, 16, out=moved)
+    quads &= 0x000000FF000000FF
+    w &= 0x000000FF000000FF
+    w *= 100 + (1000000 << 32)
+    w += quads * (1 + (10000 << 32))
+    w >>= 32  # eight digits in each word
+    return w[0] * 10**16 + w[1] * 10**8 + w[2], w[0] < 1000
 
 
 # ---------------------------------------------------------------------------
@@ -792,13 +817,15 @@ def _load_family(path: str) -> ExponentFamily:
     missing = [key for key in required if key not in raw]
     if missing:
         raise ValidationError("family", f"missing keys: {', '.join(missing)}")
-    # JSON numbers only: a bool is an int to Python, and float() reads strings
+    # JSON numbers only: a bool is an int to Python, float() reads strings, and
+    # numpy reads a null as NaN
+    not_numbers = (bool, str, type(None))
     tau = raw["tau"]
-    if isinstance(tau, (bool, str)) or isinstance(tau, float) and not tau.is_integer():
+    if isinstance(tau, not_numbers) or isinstance(tau, float) and not tau.is_integer():
         raise ValidationError("family", f"tau must be a finite integer, got {tau!r}")
     for key in required:
         for v in raw[key] if isinstance(raw[key], list) else [raw[key]]:
-            if isinstance(v, (bool, str)):
+            if isinstance(v, not_numbers):
                 raise ValidationError("family", f"{key} must hold numbers, got {v!r}")
 
     def pair(re: str, im: str) -> np.ndarray:

@@ -265,20 +265,17 @@ def exp_integral(s, T: float):
     s_arr = np.asarray(s, dtype=complex if np.iscomplexobj(s) else float)
     flat = s_arr.reshape(-1)
     x = flat * T
-    if not x.any():
-        out = np.full(flat.shape, T, dtype=flat.dtype)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.expm1(x) / flat
-        small = np.abs(x) < _SERIES_CUTOFF
-        if small.any():
-            # products, not x**n: real x**3 and up would each call pow()
-            xs = x[small]
-            x2 = xs * xs
-            x4 = x2 * x2
-            out[small] = T * (
-                1.0 + xs / 2.0 + x2 / 6.0 + xs * x2 / 24.0 + x4 / 120.0 + xs * x4 / 720.0
-            )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.expm1(x) / flat
+    small = np.abs(x) < _SERIES_CUTOFF
+    if small.any():
+        # products, not x**n: real x**3 and up would each call pow()
+        xs = x[small]
+        x2 = xs * xs
+        x4 = x2 * x2
+        out[small] = T * (
+            1.0 + xs / 2.0 + x2 / 6.0 + xs * x2 / 24.0 + x4 / 120.0 + xs * x4 / 720.0
+        )
     out = out.reshape(s_arr.shape)
     return out.item() if out.ndim == 0 else out
 

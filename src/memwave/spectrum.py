@@ -38,7 +38,6 @@ __all__ = [
     "SpectralTriple",
     "laplace_eigenvalue",
     "phi_psi",
-    "phi_psi_limiting",
     "characteristic_roots",
     "vieta_residuals",
     "mode_spectrum",
@@ -128,25 +127,6 @@ def phi_psi(params: KernelParams, lam: float):
     if not (np.isfinite(radicand).all() and np.isfinite(psi).all()):
         raise OutOfRange(f"eta={eta} overflows Phi or Psi of the closed-form roots")
     phi = np.sqrt(radicand)
-    if lam.ndim == 0:
-        return float(phi), float(psi)
-    return phi, psi
-
-
-def phi_psi_limiting(beta: float, lam: float):
-    """Specialized (Phi, Psi) on the line eta = 3*beta/2.
-
-    Must agree with the general form to machine precision; kept as a separate
-    evaluation path for consistency checks.
-    """
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam <= 0.0):
-        raise InputError("lam must be > 0")
-    radicand = 1.0 - 2.25 * beta * beta / lam + 1.6875 * beta**4 / lam**2
-    if np.any(radicand < 0.0):
-        raise NegativeRadicand(f"Phi radicand negative at beta={beta}")
-    phi = np.sqrt(radicand)
-    psi = 0.375 * SQRT3 * beta**3 / lam**1.5
     if lam.ndim == 0:
         return float(phi), float(psi)
     return phi, psi

@@ -24,6 +24,7 @@ from memwave import (
     estimate_mu,
     evaluate_solution_grid,
     expand,
+    freq_scale,
     freq_scale_parts,
     gap_constant,
     kernel_decay_bound,
@@ -125,13 +126,16 @@ def test_criterion_3_gap_constant():
     betas[-1] = BETA_MAX
     gammas = np.array([gap_constant(float(b)).gamma for b in betas])
     decreasing = bool(np.all(np.diff(gammas) < 0.0))
-    # gap_constant certifies the two evaluation routes to 1e-12 on every call
-    ok = gamma0_err < 1e-12 and decreasing
+    # the printed closed form against (sqrt(2)-1)/2 * F(3*beta / (2*sqrt(2)))
+    via_scale = 0.5 * (SQRT2 - 1.0) * freq_scale(3.0 * betas / (2.0 * SQRT2))
+    route_err = float(np.max(np.abs(gammas - via_scale)))
+    ok = gamma0_err < 1e-12 and decreasing and route_err <= 1e-12
     report(3, ok, f"gap constant (|gamma(0)-(sqrt2-1)| = {gamma0_err:.2e} < 1e-12, "
                   f"strictly decreasing on a 1e-3 grid of {betas.size} points, "
-                  f"both evaluation routes within 1e-12)")
+                  f"both evaluation routes within 1e-12: {route_err:.2e})")
     assert gamma0_err < 1e-12
     assert decreasing
+    assert route_err <= 1e-12
 
 
 def test_criterion_4_gap_audits_and_scale_function():

@@ -28,7 +28,7 @@ PACKAGE_API = {
     "NotPositiveWarning",
     # spectrum
     "BETA_MAX", "KernelParams", "SpectralTriple", "laplace_eigenvalue",
-    "phi_psi", "phi_psi_limiting", "characteristic_roots", "vieta_residuals",
+    "phi_psi", "characteristic_roots", "vieta_residuals",
     "mode_spectrum",
     # gap analysis
     "GapConstant", "GapAudit", "sqrt_gap_bound", "freq_scale_parts",

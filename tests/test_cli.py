@@ -1004,13 +1004,16 @@ class TestRejectedNumbers:
             assert not out.exists()
 
     def test_family_entries_must_be_finite(self, tmp_path, capsys):
-        # json reads NaN, strings and booleans; the family must not reach the
-        # arithmetic with them, nor float() read a string or a bool as a number
+        # json reads NaN, strings, booleans and nulls; the family must not reach
+        # the arithmetic with them, nor float() read a string or a bool as a
+        # number, nor numpy a null as NaN
         for key, value, message in (
             ("omega_re", [3.0, math.nan], "omegas must be finite"),
             ("gamma", "0.9", "gamma must hold numbers, got '0.9'"),
             ("C_re", ["1.0", True], "C_re must hold numbers, got '1.0'"),
             ("r", [1.0, True], "r must hold numbers, got True"),
+            ("C_re", [None, None], "C_re must hold numbers, got None"),
+            ("gamma", None, "gamma must hold numbers, got None"),
         ):
             family = json.loads(open(write_family(tmp_path)).read())
             family[key] = value
@@ -1259,7 +1262,7 @@ class TestFileBoundary:
         assert err == f"error: family: the top level of {path} is not a JSON object\n"
 
     @pytest.mark.parametrize("tau, shown", [(1e400, "inf"), (math.nan, "nan"), (1.5, "1.5"),
-                                            (True, "True"), ("3", "'3'")])
+                                            (True, "True"), ("3", "'3'"), (None, "None")])
     def test_family_tau_must_be_a_finite_integer(self, tau, shown, tmp_path, capsys):
         path = write_golden_family(tmp_path, tau=tau)
         status, out, err = run(["ingham-check", "--family", path, "--T", "4"], capsys)

@@ -140,8 +140,8 @@ class TestGapConstant:
             gap_constant(-0.1)
 
     def test_evaluation_paths_agree_on_grid(self):
-        # the constructor certifies the two paths to 1e-12; also compare
-        # against the scaled form explicitly
+        # gap_constant evaluates the printed closed form only: hold it to the
+        # scaled form (sqrt(2)-1)/2 * F(3*beta / (2*sqrt(2)))
         for beta in np.linspace(0.0, BETA_MAX, 97):
             g = gap_constant(float(beta)).gamma
             alt = 0.5 * (SQRT2 - 1.0) * freq_scale(3.0 * beta / (2.0 * SQRT2))

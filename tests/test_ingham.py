@@ -151,6 +151,17 @@ class TestExpIntegral:
     def test_zero_exponent(self):
         assert exp_integral(0.0, 3.0) == 3.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s", [np.zeros(3), np.zeros(3, complex), np.array([-0.0, 0.0]),
+                                   np.array([complex(-0.0, -0.0)]), -0.0, np.zeros(0),
+                                   np.zeros(0, complex)])
+    def test_zeros_give_exactly_T(self, s):
+        # the series gives E(0) = T with no warning, whatever the zero's sign
+        T = 2.75
+        got = exp_integral(s, T)
+        assert np.shape(got) == np.shape(s)
+        assert np.all(got == T) and np.all(np.imag(got) == 0.0)
+
     def test_plain_value(self):
         s, T = 0.3 - 1.2j, 2.5
         assert abs(exp_integral(s, T) - (np.exp(s * T) - 1.0) / s) < 1e-14

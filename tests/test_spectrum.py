@@ -12,10 +12,10 @@ from memwave import (
     KernelParams,
     NegativeRadicand,
     characteristic_roots,
+    freq_scale_parts,
     laplace_eigenvalue,
     mode_spectrum,
     phi_psi,
-    phi_psi_limiting,
     vieta_residuals,
 )
 from memwave.spectrum import _closed_form_roots, _lattice
@@ -85,9 +85,10 @@ class TestPhiPsi:
     @pytest.mark.parametrize("beta", [0.0, 0.3, 0.9, 2.0 / math.sqrt(3.0)])
     @pytest.mark.parametrize("lam", [2.0, 5.0, 1e4])
     def test_limiting_specialization_agrees(self, beta, lam):
-        params = KernelParams.limiting_regime(beta)
-        phi_g, psi_g = phi_psi(params, lam)
-        phi_s, psi_s = phi_psi_limiting(beta, lam)
+        # on eta = 3*beta/2, Phi +- Psi = f_pm(3*beta / (2*sqrt(lam)))
+        phi_g, psi_g = phi_psi(KernelParams.limiting_regime(beta), lam)
+        f_plus, f_minus = freq_scale_parts(3.0 * beta / (2.0 * math.sqrt(lam)))
+        phi_s, psi_s = (f_plus + f_minus) / 2.0, (f_plus - f_minus) / 2.0
         assert abs(phi_g - phi_s) <= 1e-13 * max(1.0, abs(phi_s))
         assert abs(psi_g - psi_s) <= 1e-13 * max(1.0, abs(psi_s))
 
